@@ -1,0 +1,54 @@
+"""Golden digests: pinned sha256 of short CLI outputs.
+
+Rerun equality (criterion 8) cannot notice a refactor that changes every
+number consistently; these pins can.  Each case writes one output file
+through ``cli.main`` and compares its sha256 with the digest recorded when
+the case was added.  A deliberate output change must update the pin and
+say why in CHANGES.md.
+
+The pins hold on x86-64 Linux with CPython 3.11 and numpy 2.x; another libm
+may round a transcendental differently and change the last digit of a float.
+"""
+
+import hashlib
+
+import pytest
+
+from sectorcast import cli
+
+SMALL = ["--set", "square_side=1500", "--set", "n_nodes=100", "--set", "radius=200",
+         "--set", "d=600", "--seed", "11"]
+GRID = ["--set", "sweep.theta_deg=45, 90, 135", "--set", "sweep.n_nodes=100, 200",
+        "--set", "sweep.d=600"]
+
+# name -> (argv without --out, sha256 of the written file)
+GOLDEN = {
+    # 12 trials: (135 deg, N 100) has 5 successes and takes the normal
+    # approximation; the other cells have 1-4 or 10-11 (Clopper-Pearson path).
+    "sweep.csv": (["sweep", *SMALL, *GRID, "--set", "sweep.trials=12"],
+                  "f40229af6e70aaf87f0908d9b8fdefabbbefa827c396b317b934b6b2e74cace6"),
+    "sweep-poisson-2w.csv": (["sweep", *SMALL, *GRID, "--set", "sweep.trials=6",
+                              "--set", "placement=poisson",
+                              "--set", "direction_error_deg=10", "--workers", "2"],
+                             "fa7c1b36ad5338af218815818776a9ec7e51520725db7bdb8212f5032b7fc315"),
+    "compare.csv": (["compare", *SMALL, "--set", "sweep.theta_deg=60, 120",
+                     "--set", "sweep.n_nodes=80", "--set", "sweep.trials=5"],
+                    "cc91a95b8d28e0539f506930f3d0ada149160ebebd21fc80d0389736b0c389f3"),
+    "simulate.json": (["simulate", *SMALL, "--set", "n_nodes=300",
+                       "--set", "direction_error_deg=10"],
+                      "bcf5a0bae8de2a42e7355fd21ea30bbcf4a0e63b36fbc918f1a0d9295e5cbd39"),
+    "snapshot.svg": (["snapshot", *SMALL, "--set", "n_nodes=300", "--set", "theta_deg=120"],
+                     "4d191bfa942cf042dfc63136d2246998c98d4a6829de508aa8909cede443f883"),
+    "model-terminating.txt": (["model", "--set", "theta_deg=90", "--set", "d=1000"],
+                              "c106c143357b1e1affca0158ba28d290b2c1e8c2ae6817efc6dceea5f587b78d"),
+    "model-non-terminating.txt": (["model", "--set", "theta_deg=135", "--set", "d=1000"],
+                                  "90453c4e1c1ad1eda667c6399e2019bd89c469b34209c417384f73c3f48b8b58"),
+}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_output_digest(name, tmp_path, capsys):
+    argv, digest = GOLDEN[name]
+    out = tmp_path / name
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
