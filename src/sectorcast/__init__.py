@@ -1,6 +1,6 @@
 """Directional sector-broadcast simulator and coverage-area model toolkit."""
 
-from .geometry import Point2D, Sector, bearing, circular_diff, dist, in_sector
+from .geometry import Point2D, Sector, in_sector
 from .leafmodel import (
     DegenerateLeafError,
     LeafModel,
@@ -42,7 +42,7 @@ from .render import render_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "Point2D", "Sector", "bearing", "circular_diff", "dist", "in_sector",
+    "Point2D", "Sector", "in_sector",
     "DegenerateLeafError", "LeafModel", "build_leaf", "chain_vertices",
     "next_edge", "predicted_ratio", "relative_error", "triangle_area",
     "ConfigError", "Placement", "Scenario", "ScenarioConfig", "derive_seed",

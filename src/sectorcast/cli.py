@@ -14,16 +14,14 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import replace
 
 from . import configio
 from .engine import propagate
-from .experiments import SweepSpec, run_cell, run_sweep
+from .experiments import SweepSpec, run_sweep
 from .leafmodel import DegenerateLeafError, build_leaf, predicted_ratio
 from .render import render_svg
-from .scenario import ConfigError, ScenarioConfig, derive_seed, generate
+from .scenario import ConfigError, ScenarioConfig, generate
 from .configio import atomic_write_text, ensure_writable
 
 OUTDIR_ENV = "SECTORCAST_OUTDIR"
@@ -32,26 +30,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 
-_DEFAULT_OUTPUT = {
-    "simulate": "simulate.json",
-    "sweep": "sweep.csv",
-    "compare": "compare.csv",
-    "model": None,
-    "snapshot": "snapshot.svg",
-}
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """One resolved invocation."""
-
-    command: str
-    config_path: str | None
-    overrides: tuple[str, ...]
-    output_path: str | None
-    seed: int | None
-    workers: int = 1
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -59,14 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Directional sector-broadcast simulator and coverage-area model.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "simulate": "run one scenario and report the flood outcome",
-        "sweep": "run the (theta x N x d) Monte Carlo grid to CSV",
-        "model": "print the triangle-chain area model for the configured cell",
-        "compare": "sweep theta x N at fixed d and compare simulation to the model",
-        "snapshot": "render one scenario as an SVG scene",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="config file (key = value text)")
         p.add_argument("--set", dest="overrides", metavar="KEY=VALUE", action="append",
@@ -78,26 +49,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load(manifest: RunManifest) -> tuple[ScenarioConfig, SweepSpec]:
-    if manifest.config_path:
+def _load(args: argparse.Namespace) -> tuple[ScenarioConfig, SweepSpec]:
+    if args.config:
         try:
-            with open(manifest.config_path, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        base_raw, sweep_raw = configio.parse_config_text(text, manifest.config_path)
+        base_raw, sweep_raw = configio.parse_config_text(text, args.config)
     else:
         base_raw, sweep_raw = {}, {}
-    configio.apply_overrides(base_raw, sweep_raw, list(manifest.overrides))
+    configio.apply_overrides(base_raw, sweep_raw, args.overrides)
     config = configio.to_scenario_config(base_raw)
-    if manifest.seed is not None:
-        config = replace(config, seed=manifest.seed)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
     spec = configio.to_sweep_spec(config, sweep_raw)
     return config, spec
 
 
-def _resolve_out(manifest: RunManifest) -> str | None:
-    path = manifest.output_path or _DEFAULT_OUTPUT[manifest.command]
+def _resolve_out(args: argparse.Namespace) -> str | None:
+    path = args.out or _COMMANDS[args.command][2]
     if path is None:
         return None
     if not os.path.isabs(path):
@@ -105,14 +76,17 @@ def _resolve_out(manifest: RunManifest) -> str | None:
     return path
 
 
-def cmd_simulate(manifest: RunManifest) -> int:
-    config, _ = _load(manifest)
-    out_path = _resolve_out(manifest)
+def _flood(args: argparse.Namespace):
+    """Config, checked output path, scenario and flood outcome for one seed."""
+    config, _ = _load(args)
+    out_path = _resolve_out(args)
     ensure_writable(out_path)
-
     scenario = generate(config)
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
-    outcome = propagate(scenario, rng)
+    return config, out_path, scenario, propagate(scenario)
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    config, out_path, _, outcome = _flood(args)
 
     n_total = config.n_nodes + 1
     ratio = len(outcome.implicated) / n_total
@@ -129,16 +103,7 @@ def cmd_simulate(manifest: RunManifest) -> int:
           f"{', '.join(str(c) for c in outcome.per_round_transmitters)}")
 
     record = {
-        "config": {
-            "square_side": config.square_side,
-            "n_nodes": config.n_nodes,
-            "radius": config.radius,
-            "theta_deg": math.degrees(config.theta),
-            "d": config.sd_distance,
-            "seed": config.seed,
-            "placement": config.placement.value,
-            "direction_error_deg": math.degrees(config.direction_error_bound),
-        },
+        "config": configio.config_record(config),
         "outcome": {
             "success": outcome.success,
             "first_delivery_hop": outcome.first_delivery_hop,
@@ -154,11 +119,11 @@ def cmd_simulate(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def _run_grid(manifest: RunManifest, spec: SweepSpec) -> int:
-    out_path = _resolve_out(manifest)
+def _run_grid(args: argparse.Namespace, spec: SweepSpec) -> int:
+    out_path = _resolve_out(args)
     ensure_writable(out_path)
     t0 = time.perf_counter()
-    results = run_sweep(spec, workers=manifest.workers)
+    results = run_sweep(spec, workers=args.workers)
     elapsed = time.perf_counter() - t0
     atomic_write_text(out_path, configio.results_csv_text(results, spec.base, spec))
     print(f"{len(results)} cells x {spec.trials} trials in {elapsed:.1f} s "
@@ -171,20 +136,20 @@ def _run_grid(manifest: RunManifest, spec: SweepSpec) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(manifest: RunManifest) -> int:
-    _, spec = _load(manifest)
-    return _run_grid(manifest, spec)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    _, spec = _load(args)
+    return _run_grid(args, spec)
 
 
-def cmd_compare(manifest: RunManifest) -> int:
-    config, spec = _load(manifest)
+def cmd_compare(args: argparse.Namespace) -> int:
+    config, spec = _load(args)
     spec = replace(spec, d_values=(config.sd_distance,))
-    return _run_grid(manifest, spec)
+    return _run_grid(args, spec)
 
 
-def cmd_model(manifest: RunManifest) -> int:
-    config, _ = _load(manifest)
-    out_path = _resolve_out(manifest)  # only written when --out was given
+def cmd_model(args: argparse.Namespace) -> int:
+    config, _ = _load(args)
+    out_path = _resolve_out(args)  # only written when --out was given
     if out_path is not None:
         ensure_writable(out_path)
 
@@ -220,40 +185,32 @@ def cmd_model(manifest: RunManifest) -> int:
     return EXIT_OK
 
 
-def cmd_snapshot(manifest: RunManifest) -> int:
-    config, _ = _load(manifest)
-    out_path = _resolve_out(manifest)
-    ensure_writable(out_path)
-    scenario = generate(config)
-    rng = np.random.default_rng(np.random.SeedSequence((config.seed, 1)))
-    outcome = propagate(scenario, rng)
+def cmd_snapshot(args: argparse.Namespace) -> int:
+    _, out_path, scenario, outcome = _flood(args)
     atomic_write_text(out_path, render_svg(scenario, outcome))
     print(f"snapshot written to {out_path} "
           f"(success={outcome.success}, implicated={len(outcome.implicated)})")
     return EXIT_OK
 
 
+# name -> (handler, help text, default output file; None writes only on --out)
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "model": cmd_model,
-    "compare": cmd_compare,
-    "snapshot": cmd_snapshot,
+    "simulate": (cmd_simulate, "run one scenario and report the flood outcome",
+                 "simulate.json"),
+    "sweep": (cmd_sweep, "run the (theta x N x d) Monte Carlo grid to CSV", "sweep.csv"),
+    "model": (cmd_model, "print the triangle-chain area model for the configured cell",
+              None),
+    "compare": (cmd_compare,
+                "sweep theta x N at fixed d and compare simulation to the model",
+                "compare.csv"),
+    "snapshot": (cmd_snapshot, "render one scenario as an SVG scene", "snapshot.svg"),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    manifest = RunManifest(
-        command=args.command,
-        config_path=args.config,
-        overrides=tuple(args.overrides),
-        output_path=args.out,
-        seed=args.seed,
-        workers=max(1, args.workers),
-    )
     try:
-        return _COMMANDS[manifest.command](manifest)
+        return _COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

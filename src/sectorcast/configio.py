@@ -134,18 +134,23 @@ def to_sweep_spec(config: ScenarioConfig, sweep: dict) -> SweepSpec:
     return SweepSpec(**kwargs)
 
 
+def config_record(config: ScenarioConfig) -> dict:
+    """Effective base configuration under its config-file keys (degrees)."""
+    return {
+        "square_side": config.square_side,
+        "n_nodes": config.n_nodes,
+        "radius": config.radius,
+        "theta_deg": math.degrees(config.theta),
+        "d": config.sd_distance,
+        "seed": config.seed,
+        "placement": config.placement.value,
+        "direction_error_deg": math.degrees(config.direction_error_bound),
+    }
+
+
 def config_echo_lines(config: ScenarioConfig, spec: SweepSpec | None = None) -> list[str]:
     """Effective configuration as '#' comment lines for output-file headers."""
-    lines = [
-        f"# square_side = {config.square_side!r}",
-        f"# n_nodes = {config.n_nodes}",
-        f"# radius = {config.radius!r}",
-        f"# theta_deg = {math.degrees(config.theta)!r}",
-        f"# d = {config.sd_distance!r}",
-        f"# seed = {config.seed}",
-        f"# placement = {config.placement.value}",
-        f"# direction_error_deg = {math.degrees(config.direction_error_bound)!r}",
-    ]
+    lines = [f"# {k} = {v}" for k, v in config_record(config).items()]
     if spec is not None:
         lines += [
             "# [sweep]",

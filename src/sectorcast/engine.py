@@ -128,7 +128,8 @@ def propagate(scenario: Scenario, rng: np.random.Generator | None = None,
 
     rng supplies the per-transmitter direction error, drawn up front and
     keyed by node id so the outcome is independent of iteration order; it
-    is only consumed when the config's direction_error_bound is nonzero.
+    is only consumed when the config's direction_error_bound is nonzero,
+    and defaults to the scenario's aiming stream SeedSequence((seed, 1)).
     """
     cfg = scenario.config
     n = len(scenario.nodes)
@@ -141,7 +142,7 @@ def propagate(scenario: Scenario, rng: np.random.Generator | None = None,
     eps = cfg.direction_error_bound
     if eps > 0.0:
         if rng is None:
-            raise ValueError("direction_error_bound > 0 requires an rng stream")
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)))
         # deltas[0] belongs to the source, deltas[i + 1] to node i
         deltas = rng.uniform(-eps, eps, size=n + 1)
     else:

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import logging
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats
+from scipy.special import betaincinv
 
 from .engine import propagate
 from .leafmodel import build_leaf, predicted_ratio, relative_error
@@ -95,9 +96,7 @@ class CellResult:
 def _run_trial(config: ScenarioConfig, trial: int) -> tuple[bool, float, int]:
     """One propagate run: (success, implicated ratio, hops-or-0)."""
     cfg = replace(config, seed=derive_seed(config.seed, trial))
-    scenario = generate(cfg)
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)))
-    outcome = propagate(scenario, rng)
+    outcome = propagate(generate(cfg))
     ratio = len(outcome.implicated) / (cfg.n_nodes + 1)
     hops = outcome.first_delivery_hop if outcome.success else 0
     return outcome.success, ratio, hops
@@ -108,16 +107,25 @@ def _success_halfwidth(successes: int, trials: int) -> float:
     p = successes / trials
     if 5 <= successes <= trials - 5:
         return _Z95 * math.sqrt(p * (1.0 - p) / trials)
-    lo = 0.0 if successes == 0 else float(stats.beta.ppf(0.025, successes, trials - successes + 1))
-    hi = 1.0 if successes == trials else float(stats.beta.ppf(0.975, successes + 1, trials - successes))
+    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, 0.025))
+    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 0.975))
     return (hi - lo) / 2.0
+
+
+def _usable_cpus() -> int:
+    affinity = getattr(os, "sched_getaffinity", None)  # absent on macOS and Windows
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def run_cell(config: ScenarioConfig, trials: int = DEFAULT_TRIALS,
              workers: int = 1) -> CellResult:
-    """Monte Carlo estimate of one cell from seed-derived independent trials."""
+    """Monte Carlo estimate of one cell from seed-derived independent trials.
+
+    workers is capped at the usable CPUs and at trials; one runs in-process.
+    """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
+    workers = min(workers, _usable_cpus(), trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_trial, [config] * trials, range(trials),

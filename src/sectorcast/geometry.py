@@ -1,4 +1,4 @@
-"""Planar primitives for sector coverage tests and bearings.
+"""Planar primitives for sector coverage tests.
 
 All angles are radians internally; degrees appear only at I/O boundaries.
 Bearings are measured counterclockwise from the +x axis and normalized
@@ -49,26 +49,6 @@ class Sector:
             object.__setattr__(self, "axis", self.axis % TWO_PI)
 
 
-def dist(a: Point2D, b: Point2D) -> float:
-    """Euclidean distance in meters."""
-    return math.hypot(b.x - a.x, b.y - a.y)
-
-
-def bearing(frm: Point2D, to: Point2D) -> float:
-    """Angle of the vector (to - frm), normalized to [0, 2*pi)."""
-    dx = to.x - frm.x
-    dy = to.y - frm.y
-    if dx == 0.0 and dy == 0.0:
-        raise ValueError("bearing undefined for coincident points")
-    return math.atan2(dy, dx) % TWO_PI
-
-
-def circular_diff(a: float, b: float) -> float:
-    """Absolute angular separation between two bearings, in [0, pi]."""
-    d = (a - b) % TWO_PI
-    return min(d, TWO_PI - d)
-
-
 def in_sector(p: Point2D, s: Sector) -> bool:
     """Whether p lies in sector s.
 
@@ -76,8 +56,8 @@ def in_sector(p: Point2D, s: Sector) -> bool:
     are inside; the apex itself is not: a transmitter never re-receives its
     own message.
 
-    The angular test is |bearing(apex, p) - axis| <= half_angle on the
-    circle, evaluated in dot-product form (cos is monotone on [0, pi]) so
+    The angular test is |bearing of p from the apex - axis| <= half_angle on
+    the circle, evaluated in dot-product form (cos is monotone on [0, pi]) so
     the same arithmetic can run vectorized in the engine.
     """
     dx = p.x - s.apex.x

@@ -39,7 +39,6 @@ class LeafModel:
     n_triangles: int
     total_area: float
     non_terminating: bool = False
-    predicted_ratio: float | None = None
 
 
 def _check_positive(**values: float) -> None:
@@ -85,23 +84,21 @@ def build_leaf(d: float, r: float, theta: float) -> LeafModel:
     if d <= r:
         raise DegenerateLeafError(f"d={d} <= r={r}: direct delivery, empty chain")
 
-    cos_half = math.cos(theta / 2.0)
-    sin_half = math.sin(theta / 2.0)
     seq = [d]
     areas = []
     non_terminating = False
     d_prev = d
     while True:
-        d_next = math.sqrt(d_prev * d_prev + r * r - 2.0 * r * d_prev * cos_half)
+        d_next = next_edge(d_prev, r, theta)
         seq.append(d_next)
-        areas.append(0.5 * r * d_next * sin_half)
+        areas.append(triangle_area(d_next, r, theta))
         if d_next <= r:
             break
         if d_next >= d_prev or (d_prev - d_next) < CONVERGENCE_FACTOR * r:
             # Stalled.  Only a fixed point beyond r makes termination by
             # range impossible; at exactly 120 degrees the fixed point IS r
             # and the truncated sum is the chain's limit, so no flag.
-            non_terminating = cos_half < 0.5
+            non_terminating = math.cos(theta / 2.0) < 0.5
             break
         d_prev = d_next
 

@@ -4,7 +4,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from sectorcast.engine import (
     SOURCE_ID,
@@ -141,10 +140,18 @@ def test_propagate_deterministic():
     assert a == b
 
 
-def test_direction_error_requires_stream():
-    cfg = ScenarioConfig(n_nodes=10, seed=0, direction_error_bound=0.2)
-    with pytest.raises(ValueError):
-        propagate(generate(cfg), rng=None)
+def test_direction_error_defaults_to_aim_stream():
+    # without an rng, propagate draws from the config seed's stream (seed, 1)
+    s = make_scenario([(190.0, 60.0)], (0.0, 0.0), (600.0, 0.0),
+                      theta_deg=30.0, eps=math.radians(60.0))
+    hits = set()
+    for k in range(40):
+        scenario = replace(s, config=replace(s.config, seed=k))
+        out = propagate(scenario)
+        aim = np.random.default_rng(np.random.SeedSequence((k, 1)))
+        assert out == propagate(scenario, aim)
+        hits.add(0 in out.covered)
+    assert hits == {True, False}
 
 
 def test_matches_brute_force_on_small_scenarios():

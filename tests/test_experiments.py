@@ -1,11 +1,15 @@
 """Monte Carlo cells and sweeps: aggregation, identities, fits."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from sectorcast import experiments
 from sectorcast.experiments import (
     CellResult,
     SweepSpec,
@@ -95,6 +99,32 @@ def test_success_ci_halfwidth_regimes():
     assert 0.0 < res2.success_ci_halfwidth < 0.1
 
 
+def test_success_halfwidth_matches_beta_ppf():
+    # the exact Clopper-Pearson bounds are beta quantiles; the inverse
+    # regularized incomplete beta must give the same bits as stats.beta.ppf
+    from scipy import stats
+    checked = 0
+    for n in [*range(1, 120), 200, 250, 500, 1000]:
+        for k in range(n + 1):
+            if 5 <= k <= n - 5:
+                continue  # normal-approximation regime
+            lo = 0.0 if k == 0 else float(stats.beta.ppf(0.025, k, n - k + 1))
+            hi = 1.0 if k == n else float(stats.beta.ppf(0.975, k + 1, n - k))
+            assert experiments._success_halfwidth(k, n) == (hi - lo) / 2.0, (k, n)
+            checked += 1
+    assert checked == 1194
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = "import sys, sectorcast; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
+
+
 def test_model_fields_absent_when_degenerate_or_flagged():
     direct = run_cell(small_config(sd_distance=150.0), trials=2)
     assert direct.model_ratio is None
@@ -162,6 +192,31 @@ def test_sweep_default_grid_shape():
 def test_workers_match_serial():
     cfg = small_config(n_nodes=40)
     assert same_cells([run_cell(cfg, trials=8, workers=2)], [run_cell(cfg, trials=8)])
+
+
+def test_workers_clamped_to_cpus_and_trials(monkeypatch):
+    # a recorder stands in for the pool, so no process is ever started
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    cfg = small_config(n_nodes=40)
+    for trials, workers in ((6, 5000), (3, 5000), (6, 2), (1, 5000)):
+        run_cell(cfg, trials=trials, workers=workers)
+    assert started == [4, 3, 2]  # one trial runs in-process, without a pool
 
 
 def test_linear_fit_r2_collinear():

@@ -1,11 +1,11 @@
-"""Geometry primitives: bearings, distances, sector membership."""
+"""Geometry primitives: points, sectors, sector membership."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sectorcast.geometry import Point2D, Sector, bearing, circular_diff, dist, in_sector
+from sectorcast.geometry import Point2D, Sector, in_sector
 
 from oracles import polar_in_sector
 
@@ -29,47 +29,6 @@ def test_sector_invariants():
         Sector(ORIGIN, 0.0, 1.0, 0.0)
     # axis gets normalized into [0, 2*pi)
     assert Sector(ORIGIN, -math.pi / 2, 1.0, 1.0).axis == pytest.approx(1.5 * math.pi)
-
-
-@pytest.mark.parametrize("frm,to,expected", [
-    ((0, 0), (1, 0), 0.0),
-    ((0, 0), (0, 5), math.pi / 2),
-    ((1, 1), (0, 0), 5 * math.pi / 4),
-])
-def test_bearing_examples(frm, to, expected):
-    assert bearing(Point2D(*frm), Point2D(*to)) == pytest.approx(expected, abs=1e-12)
-
-
-def test_bearing_coincident_points():
-    with pytest.raises(ValueError):
-        bearing(Point2D(3.0, 4.0), Point2D(3.0, 4.0))
-
-
-def test_bearing_antisymmetry():
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        a = Point2D(*rng.uniform(-1000, 1000, 2))
-        b = Point2D(*rng.uniform(-1000, 1000, 2))
-        fwd = bearing(a, b)
-        back = bearing(b, a)
-        assert circular_diff(fwd, back + math.pi) < 1e-9
-
-
-@pytest.mark.parametrize("a,b,expected", [
-    ((0, 0), (3, 4), 5.0),
-    ((2.5, -7.0), (2.5, -7.0), 0.0),
-    ((0, 0), (200 * math.cos(math.radians(30)), 200 * math.sin(math.radians(30))), 200.0),
-])
-def test_dist_examples(a, b, expected):
-    assert dist(Point2D(*a), Point2D(*b)) == pytest.approx(expected, rel=1e-12)
-
-
-def test_dist_symmetry_and_triangle_inequality():
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        a, b, c = (Point2D(*rng.uniform(-500, 500, 2)) for _ in range(3))
-        assert dist(a, b) == dist(b, a)
-        assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-9
 
 
 @pytest.mark.parametrize("p,expected", [
