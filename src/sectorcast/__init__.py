@@ -33,7 +33,6 @@ from .experiments import (
     DEFAULT_THETA_GRID_DEG,
     CellResult,
     SweepSpec,
-    linear_fit_r2,
     run_cell,
     run_sweep,
 )
@@ -50,7 +49,7 @@ __all__ = [
     "SOURCE_ID", "BroadcastOutcome", "GridIndex", "build_index",
     "neighbors_in_sector", "propagate",
     "DEFAULT_D_GRID", "DEFAULT_N_GRID", "DEFAULT_THETA_GRID_DEG",
-    "CellResult", "SweepSpec", "linear_fit_r2", "run_cell", "run_sweep",
+    "CellResult", "SweepSpec", "run_cell", "run_sweep",
     "render_svg",
     "__version__",
 ]

@@ -44,8 +44,9 @@ def build_parser() -> argparse.ArgumentParser:
                        default=[], help="override a config key (sweep keys: sweep.KEY)")
         p.add_argument("--seed", type=int, help="override the base seed")
         p.add_argument("--out", metavar="PATH", help="output file path")
-        p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for Monte Carlo trials (default 1)")
+        if name in ("sweep", "compare"):
+            p.add_argument("--workers", type=int, default=1,
+                           help="worker processes for Monte Carlo trials (default 1)")
     return parser
 
 
@@ -120,6 +121,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _run_grid(args: argparse.Namespace, spec: SweepSpec) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     out_path = _resolve_out(args)
     ensure_writable(out_path)
     t0 = time.perf_counter()

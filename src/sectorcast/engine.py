@@ -43,54 +43,24 @@ class BroadcastOutcome:
 
 
 class GridIndex:
-    """Uniform grid over a fixed point set, cell size = query radius.
+    """Points sorted by x: a disc query is the strip |px - x| <= radius.
 
-    A sector query only inspects the 3x3 cell neighborhood around the apex,
-    which covers the sector's bounding circle when cell_size >= radius.
+    The strip is a superset of the disc, so the exact test in _sector_hits
+    decides every hit.  It is padded by a relative margin so that rounding
+    in x +- radius cannot drop a point that test accepts.
     """
 
-    def __init__(self, points: np.ndarray, cell_size: float):
-        if cell_size <= 0:
-            raise ValueError(f"cell_size must be positive, got {cell_size}")
+    def __init__(self, points: np.ndarray):
         self.points = np.asarray(points, dtype=float).reshape(-1, 2)
-        self.cell = float(cell_size)
-        n = len(self.points)
-        if n:
-            self.x0 = float(self.points[:, 0].min())
-            self.y0 = float(self.points[:, 1].min())
-            ix = ((self.points[:, 0] - self.x0) // self.cell).astype(np.int64)
-            iy = ((self.points[:, 1] - self.y0) // self.cell).astype(np.int64)
-            self.nx = int(ix.max()) + 1
-            self.ny = int(iy.max()) + 1
-        else:
-            self.x0 = self.y0 = 0.0
-            self.nx = self.ny = 1
-            ix = iy = np.zeros(0, dtype=np.int64)
-        flat = ix * self.ny + iy
-        order = np.argsort(flat, kind="stable")
-        self._ids = order.astype(np.int64)
-        # CSR offsets: points of flat cell c are _ids[_start[c]:_start[c+1]]
-        counts = np.bincount(flat, minlength=self.nx * self.ny)
-        self._start = np.concatenate(([0], np.cumsum(counts)))
+        self._ids = np.argsort(self.points[:, 0], kind="stable")
+        self._xs = self.points[self._ids, 0]
 
     def candidates(self, x: float, y: float, radius: float) -> np.ndarray:
-        """Ids of all points in cells overlapping the disc of given radius."""
-        lo_x = max(0, min(self.nx - 1, int((x - radius - self.x0) // self.cell)))
-        hi_x = max(0, min(self.nx - 1, int((x + radius - self.x0) // self.cell)))
-        lo_y = max(0, min(self.ny - 1, int((y - radius - self.y0) // self.cell)))
-        hi_y = max(0, min(self.ny - 1, int((y + radius - self.y0) // self.cell)))
-        chunks = []
-        for cx in range(lo_x, hi_x + 1):
-            base = cx * self.ny
-            for cy in range(lo_y, hi_y + 1):
-                s, e = self._start[base + cy], self._start[base + cy + 1]
-                if e > s:
-                    chunks.append(self._ids[s:e])
-        if not chunks:
-            return np.zeros(0, dtype=np.int64)
-        if len(chunks) == 1:
-            return chunks[0]
-        return np.concatenate(chunks)
+        """Ids of all points whose x lies within radius of the apex's x."""
+        pad = radius + 1e-9 * (abs(x) + radius)
+        lo = np.searchsorted(self._xs, x - pad, side="left")
+        hi = np.searchsorted(self._xs, x + pad, side="right")
+        return self._ids[lo:hi]
 
 
 def _sector_hits(index: GridIndex, ax: float, ay: float, axis: float,
@@ -117,13 +87,12 @@ def neighbors_in_sector(index: GridIndex, s: Sector) -> set[int]:
 
 
 def build_index(scenario: Scenario) -> GridIndex:
-    """Grid over scenario.nodes plus the destination (id n_nodes)."""
+    """Strip over scenario.nodes plus the destination (id n_nodes)."""
     dest = np.array([[scenario.destination.x, scenario.destination.y]])
-    return GridIndex(np.vstack([scenario.nodes, dest]), scenario.config.radius)
+    return GridIndex(np.vstack([scenario.nodes, dest]))
 
 
-def propagate(scenario: Scenario, rng: np.random.Generator | None = None,
-              index: GridIndex | None = None) -> BroadcastOutcome:
+def propagate(scenario: Scenario, rng: np.random.Generator | None = None) -> BroadcastOutcome:
     """Run the flood to exhaustion and account coverage and transmissions.
 
     rng supplies the per-transmitter direction error, drawn up front and
@@ -133,8 +102,7 @@ def propagate(scenario: Scenario, rng: np.random.Generator | None = None,
     """
     cfg = scenario.config
     n = len(scenario.nodes)
-    if index is None:
-        index = build_index(scenario)
+    index = build_index(scenario)
     half = cfg.theta / 2.0
     r = cfg.radius
     dest_x, dest_y = scenario.destination.x, scenario.destination.y
@@ -156,7 +124,6 @@ def propagate(scenario: Scenario, rng: np.random.Generator | None = None,
 
     tx_ids = np.array([SOURCE_ID], dtype=np.int64)
     tx_pos = np.array([[scenario.source.x, scenario.source.y]])
-    round_no = 0
     while len(tx_ids):
         per_round.append(len(tx_ids))
         implicated.extend(tx_ids.tolist())
@@ -171,14 +138,12 @@ def propagate(scenario: Scenario, rng: np.random.Generator | None = None,
             axis = (axis + deltas[tid + 1]) % TWO_PI
             newly[_sector_hits(index, ax, ay, axis, half, r)] = True
         if first_hop is None and newly[n]:
-            first_hop = round_no + 1
+            first_hop = len(per_round)
         fresh = newly[:n] & ~covered[:n] & ~transmitted
         covered |= newly
-        ids = np.nonzero(fresh)[0]
-        transmitted[ids] = True
-        tx_ids = ids
-        tx_pos = scenario.nodes[ids] if len(ids) else np.zeros((0, 2))
-        round_no += 1
+        tx_ids = np.nonzero(fresh)[0]
+        transmitted[tx_ids] = True
+        tx_pos = scenario.nodes[tx_ids]
 
     return BroadcastOutcome(
         success=bool(covered[n]),

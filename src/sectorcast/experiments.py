@@ -117,22 +117,9 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def run_cell(config: ScenarioConfig, trials: int = DEFAULT_TRIALS,
-             workers: int = 1) -> CellResult:
-    """Monte Carlo estimate of one cell from seed-derived independent trials.
-
-    workers is capped at the usable CPUs and at trials; one runs in-process.
-    """
-    if trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
-    workers = min(workers, _usable_cpus(), trials)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_trial, [config] * trials, range(trials),
-                                 chunksize=max(1, trials // (8 * workers))))
-    else:
-        rows = [_run_trial(config, t) for t in range(trials)]
-
+def _summarise(config: ScenarioConfig, rows: list[tuple[bool, float, int]]) -> CellResult:
+    """Aggregate one cell's per-trial rows, in trial order."""
+    trials = len(rows)
     success_flags = np.array([r[0] for r in rows], dtype=bool)
     ratios = np.array([r[1] for r in rows])
     hops = np.array([r[2] for r in rows])
@@ -170,26 +157,32 @@ def run_cell(config: ScenarioConfig, trials: int = DEFAULT_TRIALS,
 
 
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CellResult]:
-    """Run every cell of the sweep; deterministic (d, n, theta) order."""
+    """Run every cell of the sweep; deterministic (d, n, theta) order.
+
+    Every (cell, trial) unit goes through one map: in-process, or one pool
+    of min(workers, usable CPUs, units) processes for the whole sweep.
+    """
     cells = spec.cells()
     t0 = time.perf_counter()
-    results = [run_cell(cfg, spec.trials, workers=workers) for cfg in cells]
+    configs = [cfg for cfg in cells for _ in range(spec.trials)]
+    trial_ids = list(range(spec.trials)) * len(cells)
+    workers = min(workers, _usable_cpus(), len(configs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_run_trial, configs, trial_ids,
+                                 chunksize=max(1, len(configs) // (8 * workers))))
+    else:
+        rows = list(map(_run_trial, configs, trial_ids))
+    results = [_summarise(cfg, rows[i * spec.trials:(i + 1) * spec.trials])
+               for i, cfg in enumerate(cells)]
     logger.info("sweep: %d cells x %d trials in %.1f s",
                 len(cells), spec.trials, time.perf_counter() - t0)
     return results
 
 
-def linear_fit_r2(points: list[tuple[float, float]]) -> float:
-    """Coefficient of determination of the least-squares line through points."""
-    if len(points) < 3:
-        raise ValueError(f"need at least 3 points, got {len(points)}")
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
-    if np.all(xs == xs[0]):
-        raise ValueError("abscissae are all identical")
-    slope, intercept = np.polyfit(xs, ys, 1)
-    ss_res = float(np.sum((ys - (intercept + slope * xs)) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    if ss_tot == 0.0:
-        return 1.0
-    return 1.0 - ss_res / ss_tot
+def run_cell(config: ScenarioConfig, trials: int = DEFAULT_TRIALS,
+             workers: int = 1) -> CellResult:
+    """Monte Carlo estimate of one cell: the one-cell case of run_sweep."""
+    spec = SweepSpec(base=config, theta_values=(config.theta,), n_values=(config.n_nodes,),
+                     d_values=(config.sd_distance,), trials=trials)
+    return run_sweep(spec, workers)[0]

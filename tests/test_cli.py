@@ -116,6 +116,22 @@ def test_simulate_config_error_exit_code(tmp_path, config_file, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_workers_only_on_sweep_and_compare_and_at_least_one(tmp_path, config_file, capsys):
+    for command in ("sweep", "compare"):
+        for bad in ("0", "-3"):
+            out = tmp_path / f"{command}{bad}.csv"
+            code = run_cli(command, "--config", config_file, "--workers", bad, "--out", str(out))
+            assert code == 2
+            assert f"--workers must be >= 1, got {bad}" in capsys.readouterr().err
+            assert not out.exists()
+    for command in ("simulate", "snapshot", "model"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--config", config_file, "--workers", "2",
+                    "--out", str(tmp_path / command))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+
+
 def test_seed_flag_overrides_config(tmp_path, config_file):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

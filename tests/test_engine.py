@@ -8,7 +8,6 @@ import numpy as np
 from sectorcast.engine import (
     SOURCE_ID,
     GridIndex,
-    build_index,
     neighbors_in_sector,
     propagate,
 )
@@ -160,10 +159,14 @@ def test_matches_brute_force_on_small_scenarios():
         outcome_matches_oracle(random_scenario(rng), seed=k)
 
 
+def scan(pts, s):
+    return {i for i, (x, y) in enumerate(pts) if in_sector(Point2D(x, y), s)}
+
+
 def test_grid_index_queries_match_linear_scan():
     rng = np.random.default_rng(8)
     pts = rng.uniform(0, 2000, size=(400, 2))
-    index = GridIndex(pts, cell_size=250.0)
+    index = GridIndex(pts)
     for _ in range(1000):
         s = Sector(
             apex=Point2D(*rng.uniform(-100, 2100, 2)),
@@ -171,16 +174,31 @@ def test_grid_index_queries_match_linear_scan():
             half_angle=float(rng.uniform(0.05, math.pi)),
             radius=250.0,
         )
-        expect = {i for i, (x, y) in enumerate(pts) if in_sector(Point2D(x, y), s)}
-        assert neighbors_in_sector(index, s) == expect
-
-
-def test_grid_index_sector_radius_must_fit_cell():
-    # cell size below the query radius would silently miss candidates, so
-    # the engine always builds the grid with cell size = config radius
-    scenario = generate(ScenarioConfig(n_nodes=200, seed=4))
-    index = build_index(scenario)
-    assert index.cell == scenario.config.radius
+        assert neighbors_in_sector(index, s) == scan(pts, s)
+    # apexes outside the points' x-range, some still within one radius of it
+    for ax in (-5000.0, -250.0, -249.5, -100.0, 2100.0, 2249.5, 2250.0, 7000.0):
+        for axis in (0.0, math.pi / 2, math.pi):
+            s = Sector(apex=Point2D(ax, 1000.0), axis=axis, half_angle=math.pi, radius=250.0)
+            assert neighbors_in_sector(index, s) == scan(pts, s)
+    # points at apex + r (cos phi, sin phi) in floating point; phi = 0 and
+    # phi = pi put them at x + r and x - r, the edges of the candidate strip
+    phis = np.concatenate(([0.0, math.pi, math.pi / 2, 3 * math.pi / 2, 1e-9, math.pi - 1e-9],
+                           rng.uniform(0, 2 * math.pi, 26)))
+    apexes = [tuple(rng.uniform(0, 2000, 2)) for _ in range(30)]
+    apexes += [(1e6 + float(rng.uniform(-1, 1)), float(rng.uniform(-1e6, 1e6)))
+               for _ in range(15)]
+    apexes += [(1e6, 1e6), (-1e6, 0.0), (0.0, 0.0)]
+    for k, (ax, ay) in enumerate(apexes):
+        # a random radius rounds x +- r up or down; 250 keeps it exact
+        radius = (250.0, float(rng.uniform(0.1, 1.0)), float(rng.uniform(50, 900)))[k % 3]
+        ring = np.column_stack((ax + radius * np.cos(phis), ay + radius * np.sin(phis)))
+        near = np.array([ax, ay]) + rng.uniform(-2 * radius, 2 * radius, size=(40, 2))
+        pts = np.vstack((ring, near))
+        index = GridIndex(pts)
+        for axis, half in ((0.0, math.pi), (0.0, math.pi / 4), (math.pi, math.pi / 4),
+                           (float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0.05, math.pi)))):
+            s = Sector(apex=Point2D(ax, ay), axis=axis, half_angle=half, radius=radius)
+            assert neighbors_in_sector(index, s) == scan(pts, s)
 
 
 def test_full_field_sector_returns_everything_but_apex():
@@ -188,14 +206,14 @@ def test_full_field_sector_returns_everything_but_apex():
     rng = np.random.default_rng(9)
     pts = rng.uniform(0, side, size=(300, 2))
     apex_id = 17
-    index = GridIndex(pts, cell_size=side * math.sqrt(2))
+    index = GridIndex(pts)
     s = Sector(apex=Point2D(*pts[apex_id]), axis=0.0, half_angle=math.pi,
                radius=side * math.sqrt(2))
     assert neighbors_in_sector(index, s) == set(range(300)) - {apex_id}
 
 
 def test_empty_index_query():
-    index = GridIndex(np.zeros((0, 2)), cell_size=100.0)
+    index = GridIndex(np.zeros((0, 2)))
     s = Sector(apex=Point2D(0, 0), axis=0.0, half_angle=1.0, radius=100.0)
     assert neighbors_in_sector(index, s) == set()
 

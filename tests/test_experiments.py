@@ -13,7 +13,6 @@ from sectorcast import experiments
 from sectorcast.experiments import (
     CellResult,
     SweepSpec,
-    linear_fit_r2,
     run_cell,
     run_sweep,
 )
@@ -217,27 +216,12 @@ def test_workers_clamped_to_cpus_and_trials(monkeypatch):
     for trials, workers in ((6, 5000), (3, 5000), (6, 2), (1, 5000)):
         run_cell(cfg, trials=trials, workers=workers)
     assert started == [4, 3, 2]  # one trial runs in-process, without a pool
-
-
-def test_linear_fit_r2_collinear():
-    pts = [(1.0, 2.0), (2.0, 4.0), (3.0, 6.0), (4.0, 8.0)]
-    assert linear_fit_r2(pts) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_linear_fit_r2_three_point_hand_case():
-    # least squares through (0,0), (1,1), (2,1): slope 1/2, intercept 1/6,
-    # SS_res = 1/6, SS_tot = 2/3, so R^2 = 3/4
-    assert linear_fit_r2([(0.0, 0.0), (1.0, 1.0), (2.0, 1.0)]) == pytest.approx(0.75, rel=1e-12)
-
-
-def test_linear_fit_r2_no_slope_noise():
-    rng = np.random.default_rng(13)
-    pts = [(float(x), float(rng.normal(5.0, 1.0))) for x in range(30)]
-    assert abs(linear_fit_r2(pts)) < 0.3
-
-
-def test_linear_fit_r2_domain_errors():
-    with pytest.raises(ValueError):
-        linear_fit_r2([(0.0, 1.0), (1.0, 2.0)])
-    with pytest.raises(ValueError):
-        linear_fit_r2([(1.0, 1.0), (1.0, 2.0), (1.0, 3.0)])
+    # a sweep starts one pool for all its cells, capped by cells x trials
+    started.clear()
+    spec = SweepSpec(base=cfg, theta_values=(math.radians(45.0), math.radians(90.0)),
+                     n_values=(40,), d_values=(400.0, 600.0), trials=1)
+    assert same_cells(run_sweep(spec, workers=5000), run_sweep(spec))
+    assert started == [4]
+    spec = replace(spec, d_values=(600.0,))
+    run_sweep(spec, workers=5000)
+    assert started == [4, 2]
