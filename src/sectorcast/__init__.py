@@ -24,8 +24,8 @@ from .engine import (
     BroadcastOutcome,
     GridIndex,
     build_index,
-    neighbors_in_sector,
     propagate,
+    propagate_batch,
 )
 from .experiments import (
     DEFAULT_D_GRID,
@@ -47,7 +47,7 @@ __all__ = [
     "ConfigError", "Placement", "Scenario", "ScenarioConfig", "derive_seed",
     "generate",
     "SOURCE_ID", "BroadcastOutcome", "GridIndex", "build_index",
-    "neighbors_in_sector", "propagate",
+    "propagate", "propagate_batch",
     "DEFAULT_D_GRID", "DEFAULT_N_GRID", "DEFAULT_THETA_GRID_DEG",
     "CellResult", "SweepSpec", "run_cell", "run_sweep",
     "render_svg",

@@ -3,8 +3,9 @@
 A cell is one (theta, n_nodes, sd_distance) configuration run for a number
 of independent trials; a sweep is the cross product of value lists.  Trial
 t of a cell reseeds the config with derive_seed(seed, t), so results are
-reproducible and independent of execution order; optional process-level
-parallelism changes nothing but wall time.
+reproducible and independent of execution order: a cell's trials are
+flooded in lockstep batches, and neither the batching nor optional
+process-level parallelism changes anything but wall time.
 """
 
 from __future__ import annotations
@@ -19,13 +20,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import betaincinv
 
-from .engine import propagate
+# propagate stays importable here: trace tools wrap experiments.propagate
+from .engine import propagate, propagate_batch  # noqa: F401
 from .leafmodel import build_leaf, predicted_ratio, relative_error
 from .scenario import ConfigError, ScenarioConfig, derive_seed, generate
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TRIALS = 500
+MAX_TRIALS = 100_000
+
+# A batch floods as many of a cell's trials in lockstep as fit in about
+# this many node rows (at least one trial).
+BATCH_ROWS = 1 << 15
 
 # Default evaluation grid: theta 22.5..135 degrees, N 1000..3000, d 1000..3000 m.
 DEFAULT_THETA_GRID_DEG = (22.5, 45.0, 67.5, 90.0, 112.5, 135.0)
@@ -46,8 +53,8 @@ class SweepSpec:
     trials: int = DEFAULT_TRIALS
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
         if not (self.theta_values and self.n_values and self.d_values):
             raise ConfigError("sweep value lists must be non-empty")
 
@@ -93,13 +100,20 @@ class CellResult:
     model_relative_error: float | None
 
 
-def _run_trial(config: ScenarioConfig, trial: int) -> tuple[bool, float, int]:
-    """One propagate run: (success, implicated ratio, hops-or-0)."""
-    cfg = replace(config, seed=derive_seed(config.seed, trial))
-    outcome = propagate(generate(cfg))
-    ratio = len(outcome.implicated) / (cfg.n_nodes + 1)
-    hops = outcome.first_delivery_hop if outcome.success else 0
-    return outcome.success, ratio, hops
+def _batches(config: ScenarioConfig, trials: int) -> list[tuple[int, int]]:
+    """[first, stop) trial ranges of near-equal size, each within BATCH_ROWS rows."""
+    count = -(-trials // max(1, BATCH_ROWS // (config.n_nodes + 1)))
+    edges = [trials * k // count for k in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _run_batch(config: ScenarioConfig, first: int,
+               stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trials first..stop-1 of a cell: (success, implicated ratio, hops-or-0) arrays."""
+    flood = propagate_batch([generate(replace(config, seed=derive_seed(config.seed, t)))
+                             for t in range(first, stop)])
+    success = flood.success
+    return success, flood.implicated / (config.n_nodes + 1), np.where(success, flood.first_hop, 0)
 
 
 def _success_halfwidth(successes: int, trials: int) -> float:
@@ -117,13 +131,10 @@ def _usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _summarise(config: ScenarioConfig, rows: list[tuple[bool, float, int]]) -> CellResult:
-    """Aggregate one cell's per-trial rows, in trial order."""
-    trials = len(rows)
-    success_flags = np.array([r[0] for r in rows], dtype=bool)
-    ratios = np.array([r[1] for r in rows])
-    hops = np.array([r[2] for r in rows])
-
+def _summarise(config: ScenarioConfig, success_flags: np.ndarray, ratios: np.ndarray,
+               hops: np.ndarray) -> CellResult:
+    """Aggregate one cell's per-trial arrays, in trial order."""
+    trials = len(success_flags)
     successes = int(success_flags.sum())
     success_rate = successes / trials
     selected = ratios[success_flags] if successes else ratios
@@ -156,25 +167,34 @@ def _summarise(config: ScenarioConfig, rows: list[tuple[bool, float, int]]) -> C
     )
 
 
+def _cell_results(units, parts, trials: int) -> list[CellResult]:
+    """Summarise each cell as soon as the batch holding its last trial arrives."""
+    results, done = [], []
+    for (cfg, _, stop), part in zip(units, parts):
+        done.append(part)
+        if stop == trials:
+            results.append(_summarise(cfg, *map(np.concatenate, zip(*done))))
+            done = []
+    return results
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CellResult]:
     """Run every cell of the sweep; deterministic (d, n, theta) order.
 
-    Every (cell, trial) unit goes through one map: in-process, or one pool
-    of min(workers, usable CPUs, units) processes for the whole sweep.
+    Every (cell, trial batch) unit goes through one map: in-process, or one
+    pool of min(workers, usable CPUs, units) processes for the whole sweep.
     """
     cells = spec.cells()
     t0 = time.perf_counter()
-    configs = [cfg for cfg in cells for _ in range(spec.trials)]
-    trial_ids = list(range(spec.trials)) * len(cells)
-    workers = min(workers, _usable_cpus(), len(configs))
+    units = [(cfg, first, stop) for cfg in cells for first, stop in _batches(cfg, spec.trials)]
+    workers = min(workers, _usable_cpus(), len(units))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_trial, configs, trial_ids,
-                                 chunksize=max(1, len(configs) // (8 * workers))))
+            results = _cell_results(units, pool.map(
+                _run_batch, *zip(*units), chunksize=max(1, len(units) // (8 * workers))),
+                spec.trials)
     else:
-        rows = list(map(_run_trial, configs, trial_ids))
-    results = [_summarise(cfg, rows[i * spec.trials:(i + 1) * spec.trials])
-               for i, cfg in enumerate(cells)]
+        results = _cell_results(units, map(_run_batch, *zip(*units)), spec.trials)
     logger.info("sweep: %d cells x %d trials in %.1f s",
                 len(cells), spec.trials, time.perf_counter() - t0)
     return results

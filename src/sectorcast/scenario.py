@@ -20,6 +20,7 @@ DEFAULT_SQUARE_SIDE = 4000.0
 DEFAULT_RADIUS = 200.0
 
 _MAX_SEED = 2**64
+MAX_NODES = 1_000_000  # 16 MB of positions; larger fields are rejected, not allocated
 
 
 class ConfigError(ValueError):
@@ -52,8 +53,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if not (math.isfinite(self.square_side) and self.square_side > 0):
             raise ConfigError(f"square_side must be positive, got {self.square_side}")
-        if self.n_nodes < 0:
-            raise ConfigError(f"n_nodes must be >= 0, got {self.n_nodes}")
+        if not 0 <= self.n_nodes <= MAX_NODES:
+            raise ConfigError(f"n_nodes must be in [0, {MAX_NODES}], got {self.n_nodes}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ConfigError(f"radius must be positive, got {self.radius}")
         if not 0.0 < self.theta <= 2.0 * math.pi:

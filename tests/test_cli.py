@@ -6,9 +6,9 @@ import os
 
 import pytest
 
-from sectorcast import cli, configio
-from sectorcast.experiments import SweepSpec, run_sweep
-from sectorcast.scenario import ConfigError, Placement
+from sectorcast import cli, configio, experiments
+from sectorcast.experiments import MAX_TRIALS, SweepSpec, run_sweep
+from sectorcast.scenario import MAX_NODES, ConfigError, Placement
 
 BASE_TEXT = """\
 # small test field
@@ -114,6 +114,25 @@ def test_simulate_config_error_exit_code(tmp_path, config_file, capsys):
                    "--set", "d=9999", "--out", str(tmp_path / "x.json"))
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_oversized_inputs_exit_2_before_any_allocation(tmp_path, monkeypatch, capsys):
+    def no_flood(*args, **kwargs):
+        raise AssertionError("an oversized input reached the simulator")
+
+    monkeypatch.setattr(cli, "generate", no_flood)
+    monkeypatch.setattr(experiments, "generate", no_flood)
+    for argv, message in (
+        (["simulate", "--set", "n_nodes=1000000000000"], "n_nodes must be in [0, 1000000]"),
+        (["snapshot", "--set", f"n_nodes={MAX_NODES + 1}"], "n_nodes must be in"),
+        (["sweep", "--set", "sweep.n_nodes=1000,1000000000000"], "n_nodes must be in"),
+        (["sweep", "--set", f"sweep.trials={MAX_TRIALS + 1}"], "trials must be in [1, 100000]"),
+        (["compare", "--set", "sweep.trials=1000000000000"], "trials must be in"),
+    ):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_workers_only_on_sweep_and_compare_and_at_least_one(tmp_path, config_file, capsys):

@@ -8,10 +8,11 @@ import numpy as np
 from sectorcast.engine import (
     SOURCE_ID,
     GridIndex,
-    neighbors_in_sector,
+    aim_axes,
     propagate,
+    sector_hits,
 )
-from sectorcast.geometry import Point2D, Sector, in_sector
+from sectorcast.geometry import TWO_PI, Point2D, Sector, in_sector
 from sectorcast.leafmodel import chain_vertices
 from sectorcast.scenario import Scenario, ScenarioConfig, generate
 
@@ -159,46 +160,90 @@ def test_matches_brute_force_on_small_scenarios():
         outcome_matches_oracle(random_scenario(rng), seed=k)
 
 
-def scan(pts, s):
-    return {i for i, (x, y) in enumerate(pts) if in_sector(Point2D(x, y), s)}
+def scan(pts, s, members=None):
+    return {i for i, (x, y) in enumerate(pts)
+            if (members is None or i in members) and in_sector(Point2D(x, y), s)}
+
+
+def batched_hits(index, apexes, axes, half_angle, groups=None):
+    """Hit sets of sectors sharing half_angle and the index's radius, from
+    one batched sector_hits query."""
+    xs = np.array([a[0] for a in apexes], dtype=float)
+    ys = np.array([a[1] for a in apexes], dtype=float)
+    groups = np.zeros(len(xs), np.int64) if groups is None else np.asarray(groups)
+    found = [set() for _ in apexes]
+    for owner, ids in sector_hits(index, xs, ys, np.asarray(axes, dtype=float), groups,
+                                  half_angle):
+        for o, i in zip(owner.tolist(), ids.tolist()):
+            found[o].add(i)
+    return found
+
+
+def check_against_scan(pts, radius, apexes, axes, half_angle, groups=None, query_groups=None):
+    index = GridIndex(pts, radius, groups)
+    got = batched_hits(index, apexes, axes, half_angle, query_groups)
+    for k, (apex, axis) in enumerate(zip(apexes, axes)):
+        members = None
+        if groups is not None:
+            members = set(np.flatnonzero(np.asarray(groups) == query_groups[k]).tolist())
+        s = Sector(apex=Point2D(*apex), axis=axis, half_angle=half_angle, radius=radius)
+        assert got[k] == scan(pts, s, members), (apex, axis, half_angle, radius)
 
 
 def test_grid_index_queries_match_linear_scan():
     rng = np.random.default_rng(8)
     pts = rng.uniform(0, 2000, size=(400, 2))
-    index = GridIndex(pts)
-    for _ in range(1000):
-        s = Sector(
-            apex=Point2D(*rng.uniform(-100, 2100, 2)),
-            axis=float(rng.uniform(0, 2 * math.pi)),
-            half_angle=float(rng.uniform(0.05, math.pi)),
-            radius=250.0,
-        )
-        assert neighbors_in_sector(index, s) == scan(pts, s)
-    # apexes outside the points' x-range, some still within one radius of it
-    for ax in (-5000.0, -250.0, -249.5, -100.0, 2100.0, 2249.5, 2250.0, 7000.0):
-        for axis in (0.0, math.pi / 2, math.pi):
-            s = Sector(apex=Point2D(ax, 1000.0), axis=axis, half_angle=math.pi, radius=250.0)
-            assert neighbors_in_sector(index, s) == scan(pts, s)
-    # points at apex + r (cos phi, sin phi) in floating point; phi = 0 and
-    # phi = pi put them at x + r and x - r, the edges of the candidate strip
+    groups = rng.integers(0, 3, size=400)
+    for _ in range(5):
+        apexes = [tuple(a) for a in rng.uniform(-100, 2100, size=(200, 2))]
+        axes = rng.uniform(0, 2 * math.pi, 200)
+        half = float(rng.uniform(0.05, math.pi))
+        check_against_scan(pts, 250.0, apexes, axes, half)
+        check_against_scan(pts, 250.0, apexes, axes, half, groups, rng.integers(0, 3, 200))
+    # apexes outside the points' extent, some still within one radius of it
+    outside = [(ax, ay) for ax in (-5000.0, -250.0, -249.5, -100.0, 2100.0, 2249.5, 2250.0, 7000.0)
+               for ay in (-300.0, 1000.0, 2240.0)]
+    outside += [(1e6, 1e6), (-1e6, -1e6), (1e6, 1000.0), (1000.0, -1e6)]
+    for axis, half in ((0.0, math.pi), (math.pi / 2, math.pi / 3), (math.pi, 0.1)):
+        check_against_scan(pts, 250.0, outside, [axis] * len(outside), half)
+
+
+def test_grid_index_boundary_points_match_linear_scan():
+    rng = np.random.default_rng(10)
     phis = np.concatenate(([0.0, math.pi, math.pi / 2, 3 * math.pi / 2, 1e-9, math.pi - 1e-9],
                            rng.uniform(0, 2 * math.pi, 26)))
     apexes = [tuple(rng.uniform(0, 2000, 2)) for _ in range(30)]
     apexes += [(1e6 + float(rng.uniform(-1, 1)), float(rng.uniform(-1e6, 1e6)))
                for _ in range(15)]
-    apexes += [(1e6, 1e6), (-1e6, 0.0), (0.0, 0.0)]
+    apexes += [(1e6, 1e6), (-1e6, 0.0), (0.0, 0.0), (-1e6, -1e6)]
     for k, (ax, ay) in enumerate(apexes):
         # a random radius rounds x +- r up or down; 250 keeps it exact
         radius = (250.0, float(rng.uniform(0.1, 1.0)), float(rng.uniform(50, 900)))[k % 3]
         ring = np.column_stack((ax + radius * np.cos(phis), ay + radius * np.sin(phis)))
+        # exactly x +- r and y +- r, as floating point rounds them
+        cross = [(ax + radius, ay), (ax - radius, ay), (ax, ay + radius), (ax, ay - radius),
+                 (ax + radius, ay + radius), (ax - radius, ay - radius)]
         near = np.array([ax, ay]) + rng.uniform(-2 * radius, 2 * radius, size=(40, 2))
-        pts = np.vstack((ring, near))
-        index = GridIndex(pts)
+        pts = np.vstack((ring, cross, near))
         for axis, half in ((0.0, math.pi), (0.0, math.pi / 4), (math.pi, math.pi / 4),
+                           (math.pi / 2, math.pi / 2),
                            (float(rng.uniform(0, 2 * math.pi)), float(rng.uniform(0.05, math.pi)))):
-            s = Sector(apex=Point2D(ax, ay), axis=axis, half_angle=half, radius=radius)
-            assert neighbors_in_sector(index, s) == scan(pts, s)
+            check_against_scan(pts, radius, [(ax, ay)], [axis], half)
+
+
+def test_grid_index_column_boundaries_match_linear_scan():
+    # columns are radius wide from the smallest x: points and apexes sit on
+    # column edges k * r, one ulp either side of them, and mid-column
+    r = 125.0
+    edges = np.arange(-1, 10) * r
+    xs = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                         edges + r / 2))
+    xs = xs[xs >= 0.0]
+    ys = np.array([0.0, r, 2.5 * r, 3 * r, np.nextafter(3 * r, 0.0)])
+    pts = np.array([(x, y) for x in xs for y in ys])
+    apexes = [(x, y) for x in xs[::3] for y in (r, 3 * r, 1.5 * r)]
+    for axis, half in ((0.0, math.pi), (0.0, math.pi / 2), (math.pi, 0.3), (1.0, 2.0)):
+        check_against_scan(pts, r, apexes, [axis] * len(apexes), half)
 
 
 def test_full_field_sector_returns_everything_but_apex():
@@ -206,16 +251,34 @@ def test_full_field_sector_returns_everything_but_apex():
     rng = np.random.default_rng(9)
     pts = rng.uniform(0, side, size=(300, 2))
     apex_id = 17
-    index = GridIndex(pts)
-    s = Sector(apex=Point2D(*pts[apex_id]), axis=0.0, half_angle=math.pi,
-               radius=side * math.sqrt(2))
-    assert neighbors_in_sector(index, s) == set(range(300)) - {apex_id}
+    index = GridIndex(pts, side * math.sqrt(2))  # radius beyond the points' extent
+    got = batched_hits(index, [tuple(pts[apex_id])], [0.0], math.pi)
+    assert got == [set(range(300)) - {apex_id}]
 
 
 def test_empty_index_query():
-    index = GridIndex(np.zeros((0, 2)))
-    s = Sector(apex=Point2D(0, 0), axis=0.0, half_angle=1.0, radius=100.0)
-    assert neighbors_in_sector(index, s) == set()
+    index = GridIndex(np.zeros((0, 2)), 100.0)
+    assert batched_hits(index, [(0.0, 0.0), (50.0, 5.0)], [0.0, 1.0], 1.0) == [set(), set()]
+    assert batched_hits(index, [], [], 1.0) == []
+
+
+def test_aim_axes_use_scalar_atan2():
+    # np.arctan2 and math.atan2 may disagree in the last bit; the kernel's
+    # axes must equal the scalar path (atan2, then two floating-point mods)
+    rng = np.random.default_rng(12)
+    dx = rng.uniform(-5000, 5000, 20000)
+    dy = rng.uniform(-5000, 5000, 20000)
+    differ = np.arctan2(dy, dx) != np.array([math.atan2(b, a) for a, b in zip(dx, dy)])
+    dx = np.concatenate((dx[differ], dx[:500], [0.0, 0.0, 5.0, -5.0]))
+    dy = np.concatenate((dy[differ], dy[:500], [0.0, 5.0, 0.0, 0.0]))
+    deltas = rng.uniform(-1.0, 1.0, len(dx))
+    zeros = np.zeros(len(dx))
+    got = aim_axes(zeros, zeros, dx, dy, deltas)
+    want = [(math.atan2(b, a) % TWO_PI + e) % TWO_PI for a, b, e in zip(dx, dy, deltas)]
+    assert got.tolist() == want
+    # a transmitter on its destination aims at bearing 0
+    assert aim_axes(np.array([3.0]), np.array([4.0]), np.array([3.0]), np.array([4.0]),
+                    np.zeros(1)).tolist() == [0.0]
 
 
 def test_leaf_confinement_inflated_by_radius():

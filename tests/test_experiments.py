@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 from sectorcast import experiments
+from sectorcast.engine import propagate
 from sectorcast.experiments import (
     CellResult,
     SweepSpec,
     run_cell,
     run_sweep,
 )
-from sectorcast.scenario import ConfigError, ScenarioConfig
+from sectorcast.scenario import ConfigError, Placement, ScenarioConfig, derive_seed, generate
 
 
 def small_config(**kw):
@@ -39,6 +40,21 @@ def same_cells(a, b):
         if dx != dy:
             return False
     return True
+
+
+def trial_rows(cfg, trials):
+    """Per-trial (success, implicated ratio, hops-or-0), one propagate call each."""
+    rows = []
+    for t in range(trials):
+        out = propagate(generate(replace(cfg, seed=derive_seed(cfg.seed, t))))
+        rows.append((out.success, len(out.implicated) / (cfg.n_nodes + 1),
+                     out.first_delivery_hop if out.success else 0))
+    return rows
+
+
+def summary_of(cfg, rows):
+    success, ratios, hops = (np.array(col) for col in zip(*rows))
+    return experiments._summarise(cfg, success, ratios, hops)
 
 
 def test_run_cell_is_deterministic():
@@ -71,8 +87,7 @@ def test_run_cell_success_ratio_conditioning():
     res = run_cell(cfg, trials=60)
     assert 0.0 < res.success_rate < 1.0
     # mean over all trials would drag the ratio toward the tiny die-outs
-    from sectorcast.experiments import _run_trial
-    rows = [_run_trial(cfg, t) for t in range(60)]
+    rows = trial_rows(cfg, 60)
     all_mean = float(np.mean([r[1] for r in rows]))
     ok_mean = float(np.mean([r[1] for r in rows if r[0]]))
     assert res.implicated_ratio_mean == pytest.approx(ok_mean, rel=1e-12)
@@ -144,6 +159,8 @@ def test_model_ratio_density_independent():
 def test_run_cell_rejects_bad_trials():
     with pytest.raises(ConfigError):
         run_cell(small_config(), trials=0)
+    with pytest.raises(ConfigError, match="trials must be in"):
+        run_cell(small_config(), trials=experiments.MAX_TRIALS + 1)
 
 
 def test_run_sweep_single_cell_equals_run_cell():
@@ -193,6 +210,30 @@ def test_workers_match_serial():
     assert same_cells([run_cell(cfg, trials=8, workers=2)], [run_cell(cfg, trials=8)])
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batches_match_per_trial_propagate(monkeypatch, workers):
+    # 150 rows a batch hold 2 trials at N 60, so 7 trials span batches of
+    # 1, 2, 2 and 2; Poisson counts make the batches' rows ragged
+    monkeypatch.setattr(experiments, "BATCH_ROWS", 150)
+    base = small_config(n_nodes=60, seed=21)
+    cells = [
+        base,
+        replace(base, placement=Placement.POISSON_COUNT),
+        replace(base, placement=Placement.POISSON_COUNT, square_side=1000.0, radius=300.0,
+                theta=math.radians(60.0), direction_error_bound=math.radians(10.0)),
+        replace(base, theta=2 * math.pi, radius=650.0),  # d <= r: no leaf model
+    ]
+    assert experiments._batches(base, 7) == [(0, 1), (1, 3), (3, 5), (5, 7)]
+    for cfg in cells:
+        rows = trial_rows(cfg, 7)
+        assert same_cells([run_cell(cfg, trials=7, workers=workers)], [summary_of(cfg, rows)])
+    spec = SweepSpec(base=replace(base, radius=650.0),
+                     theta_values=(math.radians(45.0), 2 * math.pi),
+                     n_values=(30, 60), d_values=(600.0,), trials=5)
+    want = [summary_of(cfg, trial_rows(cfg, 5)) for cfg in spec.cells()]
+    assert same_cells(run_sweep(spec, workers=workers), want)
+
+
 def test_workers_clamped_to_cpus_and_trials(monkeypatch):
     # a recorder stands in for the pool, so no process is ever started
     started = []
@@ -212,14 +253,15 @@ def test_workers_clamped_to_cpus_and_trials(monkeypatch):
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(experiments, "BATCH_ROWS", 82)  # 2 trials a batch at N 40
     cfg = small_config(n_nodes=40)
-    for trials, workers in ((6, 5000), (3, 5000), (6, 2), (1, 5000)):
+    for trials, workers in ((10, 5000), (6, 5000), (3, 5000), (10, 2), (2, 5000)):
         run_cell(cfg, trials=trials, workers=workers)
-    assert started == [4, 3, 2]  # one trial runs in-process, without a pool
-    # a sweep starts one pool for all its cells, capped by cells x trials
+    assert started == [4, 3, 2, 2]  # one batch runs in-process, without a pool
+    # a sweep starts one pool for all its cells, capped by its batches
     started.clear()
     spec = SweepSpec(base=cfg, theta_values=(math.radians(45.0), math.radians(90.0)),
-                     n_values=(40,), d_values=(400.0, 600.0), trials=1)
+                     n_values=(40,), d_values=(400.0, 600.0), trials=2)
     assert same_cells(run_sweep(spec, workers=5000), run_sweep(spec))
     assert started == [4]
     spec = replace(spec, d_values=(600.0,))

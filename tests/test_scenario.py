@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sectorcast.scenario import (
+    MAX_NODES,
     ConfigError,
     Placement,
     ScenarioConfig,
@@ -36,6 +37,7 @@ def make_config(**kw):
     dict(seed=2**64),
     dict(direction_error_bound=-0.1),
     dict(direction_error_bound=math.pi + 0.1),
+    dict(n_nodes=MAX_NODES + 1),
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError):
