@@ -28,7 +28,7 @@ from .scenario import Scenario
 
 SOURCE_ID = -1
 
-ROUND_CHUNK = 1 << 14   # (transmitter, candidate) pairs per numpy pass
+ROUND_CHUNK = 1 << 14   # (transmitter, candidate) pairs per numpy pass; bounds a round's memory
 _MAX_COLUMNS = 1 << 20  # with under 2**21 rows, (group, column, y-rank) keys fit int64
 
 
@@ -62,12 +62,12 @@ class GridIndex:
     in x +- radius cannot drop a point that test accepts.
     """
 
-    def __init__(self, points: np.ndarray, radius: float, groups: np.ndarray | None = None):
+    def __init__(self, points: np.ndarray, radius: float, groups: np.ndarray):
         self.points = np.asarray(points, dtype=float).reshape(-1, 2)
         self.radius = radius
         n = len(self.points)
         xs, ys = self.points[:, 0], self.points[:, 1]
-        self.groups = np.zeros(n, np.int64) if groups is None else np.asarray(groups, np.int64)
+        self.groups = np.asarray(groups, np.int64)
         self._x0 = float(xs.min()) if n else 0.0
         self._abs_max = float(np.abs(self.points).max(initial=0.0))
         self._width = max(radius, (float(xs.max()) - self._x0) / _MAX_COLUMNS if n else 0.0)
@@ -75,12 +75,11 @@ class GridIndex:
         self._ncols = int(cols.max()) + 1 if n else 1
         by_y = np.argsort(ys)
         self._ys = ys[by_y]
-        bucket = (self.groups * self._ncols + cols)[by_y]
-        # a stable sort keeps y order within a bucket; numpy radix-sorts uint16
-        small = bucket.astype(np.uint16) if bucket.max(initial=0) < 1 << 16 else bucket
-        rank = np.argsort(small, kind="stable")  # y-ranks in (bucket, y) order
+        # (bucket, y-rank) keys are unique, so their order is the index's order
         self._stride = n + 1
-        self._keys = bucket[rank] * self._stride + rank
+        keys = (self.groups * self._ncols + cols)[by_y] * self._stride + np.arange(n)
+        rank = np.argsort(keys)
+        self._keys = keys[rank]
         self.order = by_y[rank]
         self.sorted_x = xs[self.order]
         self.sorted_y = ys[self.order]
@@ -112,11 +111,12 @@ class GridIndex:
         return starts + np.arange(len(starts))
 
 
-def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, axes: np.ndarray,
-                groups: np.ndarray, half_angle: float):
+def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray,
+                uy: np.ndarray, groups: np.ndarray, half_angle: float):
     """Yield (query, point id) hit pairs, one chunk of about ROUND_CHUNK
     candidate pairs at a time, for sectors of half_angle and the index's
-    radius at apexes (xs, ys) pointing along axes; same arithmetic as in_sector.
+    radius at apexes (xs, ys) pointing along unit vectors (ux, uy); same
+    arithmetic as in_sector.
     """
     query, lo, hi = index.ranges(xs, ys, groups)
     ends = np.cumsum(hi - lo)
@@ -125,7 +125,6 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, axes: np.ndarr
         cuts = np.searchsorted(ends, np.arange(ROUND_CHUNK, ends[-1], ROUND_CHUNK), side="right")
         cuts = np.unique(cuts[(cuts > 0) & (cuts < len(lo))]).tolist()
     r2 = index.radius * index.radius
-    ux, uy = np.cos(axes), np.sin(axes)
     cos_half = math.cos(half_angle)
     for a, b in zip((0, *cuts), (*cuts, len(lo))):
         pos = index.candidates(lo[a:b], hi[a:b])
@@ -139,18 +138,22 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, axes: np.ndarr
         yield owner[ok], index.order[pos[ok]]
 
 
-def aim_axes(xs: np.ndarray, ys: np.ndarray, dest_x: np.ndarray, dest_y: np.ndarray,
-             deltas: np.ndarray) -> np.ndarray:
-    """Bearing of each destination from its transmitter plus the aiming error.
+def aim_vectors(xs: np.ndarray, ys: np.ndarray, dest_x: np.ndarray, dest_y: np.ndarray,
+                deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) of each transmitter's axis: the bearing of its destination
+    plus its aiming error.
 
-    atan2 is the scalar math.atan2, one call per transmitter: np.arctan2
-    differs from it by an ulp on some inputs.  A transmitter on its
-    destination aims at bearing 0.
+    atan2, cos and sin are the scalar math functions in_sector uses, one
+    call each per transmitter, since numpy's vector versions may differ from
+    them in the last bit.  np.mod is the same exact fmod and sign fix as
+    Python's %.  A transmitter on its destination aims at bearing 0.
     """
     ddx, ddy = dest_x - xs, dest_y - ys
     axes = np.fromiter(map(math.atan2, ddy.tolist(), ddx.tolist()), float, len(ddx))
     axes[(ddx == 0.0) & (ddy == 0.0)] = 0.0
-    return np.mod(np.mod(axes, TWO_PI) + deltas, TWO_PI)
+    axes = np.mod(np.mod(axes, TWO_PI) + deltas, TWO_PI).tolist()
+    return (np.fromiter(map(math.cos, axes), float, len(axes)),
+            np.fromiter(map(math.sin, axes), float, len(axes)))
 
 
 def build_index(scenarios: Sequence[Scenario]) -> GridIndex:
@@ -251,9 +254,9 @@ def propagate_batch(scenarios: Sequence[Scenario],
     tx_delta = src_delta
     while len(tx_trial):
         per_round.append(np.bincount(tx_trial, minlength=n_trials))
-        axes = aim_axes(tx_x, tx_y, dest_x[tx_trial], dest_y[tx_trial], tx_delta)
+        ux, uy = aim_vectors(tx_x, tx_y, dest_x[tx_trial], dest_y[tx_trial], tx_delta)
         fresh = []
-        for _, rows in sector_hits(index, tx_x, tx_y, axes, tx_trial, cfg.theta / 2.0):
+        for _, rows in sector_hits(index, tx_x, tx_y, ux, uy, tx_trial, cfg.theta / 2.0):
             rows = rows[~covered[rows]]
             covered[rows] = True
             fresh.append(rows)

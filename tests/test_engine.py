@@ -8,7 +8,7 @@ import numpy as np
 from sectorcast.engine import (
     SOURCE_ID,
     GridIndex,
-    aim_axes,
+    aim_vectors,
     propagate,
     sector_hits,
 )
@@ -170,17 +170,18 @@ def batched_hits(index, apexes, axes, half_angle, groups=None):
     one batched sector_hits query."""
     xs = np.array([a[0] for a in apexes], dtype=float)
     ys = np.array([a[1] for a in apexes], dtype=float)
+    ux = np.array([math.cos(a) for a in axes], dtype=float)
+    uy = np.array([math.sin(a) for a in axes], dtype=float)
     groups = np.zeros(len(xs), np.int64) if groups is None else np.asarray(groups)
     found = [set() for _ in apexes]
-    for owner, ids in sector_hits(index, xs, ys, np.asarray(axes, dtype=float), groups,
-                                  half_angle):
+    for owner, ids in sector_hits(index, xs, ys, ux, uy, groups, half_angle):
         for o, i in zip(owner.tolist(), ids.tolist()):
             found[o].add(i)
     return found
 
 
 def check_against_scan(pts, radius, apexes, axes, half_angle, groups=None, query_groups=None):
-    index = GridIndex(pts, radius, groups)
+    index = GridIndex(pts, radius, np.zeros(len(pts), np.int64) if groups is None else groups)
     got = batched_hits(index, apexes, axes, half_angle, query_groups)
     for k, (apex, axis) in enumerate(zip(apexes, axes)):
         members = None
@@ -251,20 +252,22 @@ def test_full_field_sector_returns_everything_but_apex():
     rng = np.random.default_rng(9)
     pts = rng.uniform(0, side, size=(300, 2))
     apex_id = 17
-    index = GridIndex(pts, side * math.sqrt(2))  # radius beyond the points' extent
+    # radius beyond the points' extent
+    index = GridIndex(pts, side * math.sqrt(2), np.zeros(300, np.int64))
     got = batched_hits(index, [tuple(pts[apex_id])], [0.0], math.pi)
     assert got == [set(range(300)) - {apex_id}]
 
 
 def test_empty_index_query():
-    index = GridIndex(np.zeros((0, 2)), 100.0)
+    index = GridIndex(np.zeros((0, 2)), 100.0, np.zeros(0, np.int64))
     assert batched_hits(index, [(0.0, 0.0), (50.0, 5.0)], [0.0, 1.0], 1.0) == [set(), set()]
     assert batched_hits(index, [], [], 1.0) == []
 
 
-def test_aim_axes_use_scalar_atan2():
+def test_aim_vectors_use_scalar_math():
     # np.arctan2 and math.atan2 may disagree in the last bit; the kernel's
-    # axes must equal the scalar path (atan2, then two floating-point mods)
+    # axes must equal in_sector's scalar path (atan2, two floating-point
+    # mods, then math.cos and math.sin)
     rng = np.random.default_rng(12)
     dx = rng.uniform(-5000, 5000, 20000)
     dy = rng.uniform(-5000, 5000, 20000)
@@ -273,12 +276,14 @@ def test_aim_axes_use_scalar_atan2():
     dy = np.concatenate((dy[differ], dy[:500], [0.0, 5.0, 0.0, 0.0]))
     deltas = rng.uniform(-1.0, 1.0, len(dx))
     zeros = np.zeros(len(dx))
-    got = aim_axes(zeros, zeros, dx, dy, deltas)
-    want = [(math.atan2(b, a) % TWO_PI + e) % TWO_PI for a, b, e in zip(dx, dy, deltas)]
-    assert got.tolist() == want
+    ux, uy = aim_vectors(zeros, zeros, dx, dy, deltas)
+    axes = [(math.atan2(b, a) % TWO_PI + e) % TWO_PI for a, b, e in zip(dx, dy, deltas)]
+    assert ux.tolist() == [math.cos(a) for a in axes]
+    assert uy.tolist() == [math.sin(a) for a in axes]
     # a transmitter on its destination aims at bearing 0
-    assert aim_axes(np.array([3.0]), np.array([4.0]), np.array([3.0]), np.array([4.0]),
-                    np.zeros(1)).tolist() == [0.0]
+    ux, uy = aim_vectors(np.array([3.0]), np.array([4.0]), np.array([3.0]), np.array([4.0]),
+                         np.zeros(1))
+    assert (ux.tolist(), uy.tolist()) == ([1.0], [0.0])
 
 
 def test_leaf_confinement_inflated_by_radius():

@@ -205,7 +205,8 @@ def test_sweep_default_grid_shape():
     assert len(spec.theta_values) * len(spec.n_values) * len(spec.d_values) == 54
 
 
-def test_workers_match_serial():
+def test_workers_match_serial(monkeypatch):
+    monkeypatch.setattr(experiments, "BATCH_ROWS", 82)  # 4 batches of 2 trials: a pool starts
     cfg = small_config(n_nodes=40)
     assert same_cells([run_cell(cfg, trials=8, workers=2)], [run_cell(cfg, trials=8)])
 
