@@ -1,6 +1,5 @@
 """Directional sector-broadcast simulator and coverage-area model toolkit."""
 
-from .geometry import Point2D, Sector, in_sector
 from .leafmodel import (
     DegenerateLeafError,
     LeafModel,
@@ -14,6 +13,7 @@ from .leafmodel import (
 from .scenario import (
     ConfigError,
     Placement,
+    Point2D,
     Scenario,
     ScenarioConfig,
     derive_seed,
@@ -22,8 +22,6 @@ from .scenario import (
 from .engine import (
     SOURCE_ID,
     BroadcastOutcome,
-    GridIndex,
-    build_index,
     propagate,
     propagate_batch,
 )
@@ -41,13 +39,11 @@ from .render import render_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "Point2D", "Sector", "in_sector",
     "DegenerateLeafError", "LeafModel", "build_leaf", "chain_vertices",
     "next_edge", "predicted_ratio", "relative_error", "triangle_area",
-    "ConfigError", "Placement", "Scenario", "ScenarioConfig", "derive_seed",
-    "generate",
-    "SOURCE_ID", "BroadcastOutcome", "GridIndex", "build_index",
-    "propagate", "propagate_batch",
+    "ConfigError", "Placement", "Point2D", "Scenario", "ScenarioConfig",
+    "derive_seed", "generate",
+    "SOURCE_ID", "BroadcastOutcome", "propagate", "propagate_batch",
     "DEFAULT_D_GRID", "DEFAULT_N_GRID", "DEFAULT_THETA_GRID_DEG",
     "CellResult", "SweepSpec", "run_cell", "run_sweep",
     "render_svg",

@@ -169,6 +169,8 @@ def cmd_model(args: argparse.Namespace) -> int:
             "total area: 0 m^2",
             "predicted implicated ratio: 0",
         ]
+    except ValueError as exc:  # d = 0 or theta = 360 deg: no chain to build
+        raise ConfigError(f"no triangle-chain model for this cell: {exc}") from exc
     else:
         lines.append("edge lengths d_i (m): "
                      + ", ".join(f"{v:.6f}" for v in model.d_seq))

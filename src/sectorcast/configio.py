@@ -198,33 +198,6 @@ def results_csv_text(results: list[CellResult], config: ScenarioConfig,
     return "\n".join(lines) + "\n"
 
 
-def read_results_csv(path: str) -> list[dict]:
-    """Parse a results CSV back into dicts of floats (None for blanks)."""
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if tuple(header) != CSV_COLUMNS:
-                    raise ConfigError(f"{path}: unexpected CSV header {header}")
-                continue
-            cells = line.split(",")
-            row = {}
-            for key, cell in zip(header, cells):
-                if cell == "":
-                    row[key] = None
-                elif key in ("n_nodes", "trials"):
-                    row[key] = int(cell)
-                else:
-                    row[key] = float(cell)
-            rows.append(row)
-    return rows
-
-
 def ensure_writable(path: str) -> None:
     """Fail fast (OSError) when path's directory cannot receive the file."""
     parent = os.path.dirname(os.path.abspath(path))

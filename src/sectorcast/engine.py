@@ -23,7 +23,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import TWO_PI
 from .scenario import Scenario
 
 SOURCE_ID = -1
@@ -116,7 +115,7 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray
     """Yield (query, point id) hit pairs, one chunk of about ROUND_CHUNK
     candidate pairs at a time, for sectors of half_angle and the index's
     radius at apexes (xs, ys) pointing along unit vectors (ux, uy); same
-    arithmetic as in_sector.
+    arithmetic as the scalar in_sector oracle in tests/oracles.py.
     """
     query, lo, hi = index.ranges(xs, ys, groups)
     ends = np.cumsum(hi - lo)
@@ -143,15 +142,16 @@ def aim_vectors(xs: np.ndarray, ys: np.ndarray, dest_x: np.ndarray, dest_y: np.n
     """(cos, sin) of each transmitter's axis: the bearing of its destination
     plus its aiming error.
 
-    atan2, cos and sin are the scalar math functions in_sector uses, one
-    call each per transmitter, since numpy's vector versions may differ from
-    them in the last bit.  np.mod is the same exact fmod and sign fix as
-    Python's %.  A transmitter on its destination aims at bearing 0.
+    atan2, cos and sin are the scalar math functions of the in_sector
+    oracle in tests/oracles.py, one call each per transmitter, since
+    numpy's vector versions may differ from them in the last bit.  np.mod
+    is the same exact fmod and sign fix as Python's %.  A transmitter on
+    its destination aims at bearing 0.
     """
     ddx, ddy = dest_x - xs, dest_y - ys
     axes = np.fromiter(map(math.atan2, ddy.tolist(), ddx.tolist()), float, len(ddx))
     axes[(ddx == 0.0) & (ddy == 0.0)] = 0.0
-    axes = np.mod(np.mod(axes, TWO_PI) + deltas, TWO_PI).tolist()
+    axes = np.mod(np.mod(axes, math.tau) + deltas, math.tau).tolist()
     return (np.fromiter(map(math.cos, axes), float, len(axes)),
             np.fromiter(map(math.sin, axes), float, len(axes)))
 

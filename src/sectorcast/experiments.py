@@ -82,8 +82,8 @@ class CellResult:
     successful trials (all trials when none succeed), which is what the
     leaf-area model predicts and what makes the ratio insensitive to node
     density; success_rate captures the failures separately.  model_ratio
-    and model_relative_error are None when the cell has no leaf (d <= r)
-    or the chain is flagged non-terminating.
+    and model_relative_error are None when the cell has no leaf (d <= r
+    or theta = 2*pi) or the chain is flagged non-terminating.
     """
 
     theta: float
@@ -144,7 +144,7 @@ def _summarise(config: ScenarioConfig, success_flags: np.ndarray, ratios: np.nda
 
     model_ratio = None
     model_err = None
-    if config.sd_distance > config.radius:
+    if config.sd_distance > config.radius and config.theta < 2.0 * math.pi:
         model = build_leaf(config.sd_distance, config.radius, config.theta)
         if not model.non_terminating:
             model_ratio = predicted_ratio(model, config.square_side)

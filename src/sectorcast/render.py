@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from .engine import SOURCE_ID, BroadcastOutcome
-from .leafmodel import DegenerateLeafError, chain_vertices
+from .leafmodel import chain_vertices
 from .scenario import Scenario
 
 _VIEW = 800.0
@@ -42,7 +42,7 @@ def _leaf_polygon(scenario: Scenario) -> list[tuple[float, float]] | None:
     cfg = scenario.config
     try:
         upper = chain_vertices(cfg.sd_distance, cfg.radius, cfg.theta)
-    except (DegenerateLeafError, ValueError):
+    except ValueError:
         return None
     src, dst = scenario.source, scenario.destination
     d = cfg.sd_distance

@@ -14,8 +14,6 @@ from enum import Enum
 
 import numpy as np
 
-from .geometry import Point2D
-
 DEFAULT_SQUARE_SIDE = 4000.0
 DEFAULT_RADIUS = 200.0
 
@@ -25,6 +23,18 @@ MAX_NODES = 1_000_000  # 16 MB of positions; larger fields are rejected, not all
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+@dataclass(frozen=True)
+class Point2D:
+    """A position in meters."""
+
+    x: float
+    y: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+            raise ValueError(f"coordinates must be finite, got ({self.x}, {self.y})")
 
 
 class Placement(Enum):

@@ -3,19 +3,68 @@
 Everything here is deliberately simple and separate from the library's
 fast paths: plain loops, sets, and scalar math.  The flood oracle never
 touches the spatial index, and the chain oracle re-iterates the edge
-recurrence from scratch.
+recurrence from scratch.  The scalar sector test lives here too: the
+library's only membership test is the engine's vectorised sector_hits.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from sectorcast.geometry import Point2D, Sector, in_sector
-from sectorcast.scenario import Scenario
+from sectorcast.configio import CSV_COLUMNS
+from sectorcast.scenario import Point2D, Scenario
 
 TWO_PI = 2.0 * math.pi
+
+
+@dataclass(frozen=True)
+class Sector:
+    """A transmitter's coverage wedge.
+
+    apex: transmitter position
+    axis: bearing of the sector bisector, in [0, 2*pi)
+    half_angle: half the opening angle, in (0, pi]
+    radius: transmission range in meters
+    """
+
+    apex: Point2D
+    axis: float
+    half_angle: float
+    radius: float
+
+    def __post_init__(self):
+        if not 0.0 < self.half_angle <= math.pi:
+            raise ValueError(f"half_angle must be in (0, pi], got {self.half_angle}")
+        if not self.radius > 0.0:
+            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not 0.0 <= self.axis < TWO_PI:
+            object.__setattr__(self, "axis", self.axis % TWO_PI)
+
+
+def in_sector(p: Point2D, s: Sector) -> bool:
+    """Whether p lies in sector s.
+
+    Boundaries (distance exactly radius, angular offset exactly half_angle)
+    are inside; the apex itself is not: a transmitter never re-receives its
+    own message.
+
+    The angular test is |bearing of p from the apex - axis| <= half_angle on
+    the circle, evaluated in dot-product form (cos is monotone on [0, pi]),
+    the same arithmetic engine.sector_hits runs vectorised.
+    """
+    dx = p.x - s.apex.x
+    dy = p.y - s.apex.y
+    q = dx * dx + dy * dy
+    if q == 0.0 or q > s.radius * s.radius:
+        return False
+    if s.half_angle >= math.pi:
+        return True
+    ux = math.cos(s.axis)
+    uy = math.sin(s.axis)
+    return dx * ux + dy * uy >= math.sqrt(q) * math.cos(s.half_angle)
 
 
 def polar_in_sector(p: Point2D, s: Sector) -> bool:
@@ -108,3 +157,28 @@ def brute_force_flood(scenario: Scenario, rng: np.random.Generator | None = None
         "rounds": len(per_round),
         "per_round_transmitters": tuple(per_round),
     }
+
+
+def read_results_csv(path: str) -> list[dict]:
+    """Parse a results CSV back into dicts of floats (None for blanks)."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        header = None
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            if header is None:
+                header = line.split(",")
+                assert tuple(header) == CSV_COLUMNS, f"{path}: unexpected CSV header {header}"
+                continue
+            row = {}
+            for key, cell in zip(header, line.split(",")):
+                if cell == "":
+                    row[key] = None
+                elif key in ("n_nodes", "trials"):
+                    row[key] = int(cell)
+                else:
+                    row[key] = float(cell)
+            rows.append(row)
+    return rows

@@ -18,7 +18,7 @@ from sectorcast.experiments import run_cell
 from sectorcast.leafmodel import build_leaf, chain_vertices
 from sectorcast.scenario import ScenarioConfig, generate
 
-from oracles import brute_force_flood, chain_oracle, shoelace
+from oracles import brute_force_flood, chain_oracle, read_results_csv, shoelace
 
 SIDE = 4000.0
 RADIUS = 200.0
@@ -116,7 +116,7 @@ def test_criterion_4_bandwidth_gain_identity(grid, tmp_path):
                           seed=SEED)
     path = tmp_path / "rows.csv"
     path.write_text(configio.results_csv_text(some, base))
-    for row in configio.read_results_csv(str(path)):
+    for row in read_results_csv(str(path)):
         expect = row["implicated_ratio_mean"] * row["theta_deg"] / 360.0
         worst = max(worst, abs(row["bandwidth_gain"] - expect) / expect)
     ok = report("criterion 4", worst <= 1e-12,

@@ -10,6 +10,8 @@ from sectorcast import cli, configio, experiments
 from sectorcast.experiments import MAX_TRIALS, SweepSpec, run_sweep
 from sectorcast.scenario import MAX_NODES, ConfigError, Placement
 
+from oracles import read_results_csv
+
 BASE_TEXT = """\
 # small test field
 square_side = 1500
@@ -167,7 +169,7 @@ def test_sweep_csv_matches_library_results(tmp_path, config_file):
     assert run_cli("sweep", "--config", config_file, "--out", str(out)) == 0
     text = out.read_text()
     assert text.startswith("#")
-    rows = configio.read_results_csv(str(out))
+    rows = read_results_csv(str(out))
     assert len(rows) == 4  # 2 theta x 2 N x 1 d
 
     base, sweep = configio.parse_config_text(BASE_TEXT)
@@ -199,7 +201,27 @@ def test_sweep_default_grid_has_54_rows(tmp_path):
                    "--set", "sweep.d=1000, 2000, 3000",
                    "--out", str(out))
     assert code == 0
-    assert len(configio.read_results_csv(str(out))) == 54
+    assert len(read_results_csv(str(out))) == 54
+
+
+@pytest.mark.parametrize("command", ["sweep", "compare"])
+def test_full_circle_cells_have_empty_model_fields(tmp_path, command):
+    # theta = 360 deg is a valid flood but has no triangle chain
+    def run(thetas):
+        out = tmp_path / f"{command}-{len(thetas)}.csv"
+        assert run_cli(command, "--set", f"sweep.theta_deg={thetas}",
+                       "--set", "sweep.n_nodes=10", "--set", "sweep.d=1000",
+                       "--set", "d=1000", "--set", "sweep.trials=2",
+                       "--out", str(out)) == 0
+        return out
+
+    both = run("90, 360")
+    quarter, full = read_results_csv(str(both))
+    assert full["theta_deg"] == 360.0
+    assert full["model_ratio"] is None and full["model_relative_error"] is None
+    assert quarter["model_ratio"] is not None
+    # the 90 deg row is the same text as in a sweep without the 360 deg cell
+    assert run("90").read_text().splitlines()[-1] == both.read_text().splitlines()[-2]
 
 
 def test_sweep_unwritable_output_fails_fast(tmp_path, config_file, capsys):
@@ -217,7 +239,7 @@ def test_compare_single_theta_single_row(tmp_path, config_file, capsys):
                    "--set", "sweep.theta_deg=90", "--set", "sweep.n_nodes=100",
                    "--out", str(out))
     assert code == 0
-    rows = configio.read_results_csv(str(out))
+    rows = read_results_csv(str(out))
     assert len(rows) == 1
     assert rows[0]["model_ratio"] is not None
     assert rows[0]["model_relative_error"] is not None
@@ -229,7 +251,7 @@ def test_compare_uses_base_distance_only(tmp_path, config_file):
     # the [sweep] d list is ignored by compare; base d = 600 is used
     run_cli("compare", "--config", config_file, "--set", "sweep.d=600, 700",
             "--out", str(out))
-    rows = configio.read_results_csv(str(out))
+    rows = read_results_csv(str(out))
     assert {row["d_m"] for row in rows} == {600.0}
     assert len(rows) == 4  # 2 theta x 2 N
 
@@ -251,6 +273,18 @@ def test_model_degenerate_reports_zero_leaf(capsys):
     out = capsys.readouterr().out
     assert "degenerate" in out
     assert "triangles per side: 0" in out
+
+
+@pytest.mark.parametrize("setting, cause", [
+    ("theta_deg=360", "theta must be in (0, 2*pi)"),
+    ("d=0", "d must be positive"),
+])
+def test_model_without_chain_is_config_error(capsys, setting, cause):
+    assert run_cli("model", "--set", setting) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error: no triangle-chain model" in captured.err
+    assert cause in captured.err
 
 
 def test_model_flagged_chain_notes_truncation(capsys):

@@ -12,11 +12,10 @@ from sectorcast.engine import (
     propagate,
     sector_hits,
 )
-from sectorcast.geometry import TWO_PI, Point2D, Sector, in_sector
 from sectorcast.leafmodel import chain_vertices
-from sectorcast.scenario import Scenario, ScenarioConfig, generate
+from sectorcast.scenario import Point2D, Scenario, ScenarioConfig, generate
 
-from oracles import brute_force_flood
+from oracles import TWO_PI, Sector, brute_force_flood, in_sector
 
 
 def make_scenario(nodes, source, destination, *, side=4000.0, radius=200.0,
@@ -266,8 +265,8 @@ def test_empty_index_query():
 
 def test_aim_vectors_use_scalar_math():
     # np.arctan2 and math.atan2 may disagree in the last bit; the kernel's
-    # axes must equal in_sector's scalar path (atan2, two floating-point
-    # mods, then math.cos and math.sin)
+    # axes must equal the in_sector oracle's scalar path (atan2, two
+    # floating-point mods, then math.cos and math.sin)
     rng = np.random.default_rng(12)
     dx = rng.uniform(-5000, 5000, 20000)
     dy = rng.uniform(-5000, 5000, 20000)

@@ -1,13 +1,13 @@
-"""Geometry primitives: points, sectors, sector membership."""
+"""Point2D and the oracle's scalar sector test: membership, boundaries, symmetries."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sectorcast.geometry import Point2D, Sector, in_sector
+from sectorcast.scenario import Point2D
 
-from oracles import polar_in_sector
+from oracles import Sector, in_sector, polar_in_sector
 
 ORIGIN = Point2D(0.0, 0.0)
 STD_SECTOR = Sector(apex=ORIGIN, axis=0.0, half_angle=math.radians(30.0), radius=200.0)
