@@ -224,6 +224,21 @@ def test_full_circle_cells_have_empty_model_fields(tmp_path, command):
     assert run("90").read_text().splitlines()[-1] == both.read_text().splitlines()[-2]
 
 
+def test_duplicate_sweep_values_give_duplicate_rows(tmp_path, config_file):
+    # a value listed twice is two cells, each with its own sweep.trials trials
+    def run(*sets):
+        out = tmp_path / f"dup-{len(sets)}.csv"
+        argv = [arg for kv in sets for arg in ("--set", kv)]
+        assert run_cli("sweep", "--config", config_file, *argv, "--set", "sweep.trials=5",
+                       "--out", str(out)) == 0
+        return [line for line in out.read_text().splitlines() if not line.startswith("#")][1:]
+
+    single = run("sweep.theta_deg=90", "sweep.n_nodes=100")
+    doubled = run("sweep.theta_deg=90, 90", "sweep.n_nodes=100, 100", "sweep.d=600, 600")
+    assert len(single) == 1 and doubled == single * 8
+    assert read_results_csv(str(tmp_path / "dup-3.csv"))[0]["trials"] == 5
+
+
 def test_sweep_unwritable_output_fails_fast(tmp_path, config_file, capsys):
     code = run_cli("sweep", "--config", config_file,
                    "--out", str(tmp_path / "missing_dir" / "x.csv"))

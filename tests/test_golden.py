@@ -20,6 +20,9 @@ SMALL = ["--set", "square_side=1500", "--set", "n_nodes=100", "--set", "radius=2
          "--set", "d=600", "--seed", "11"]
 GRID = ["--set", "sweep.theta_deg=45, 90, 135", "--set", "sweep.n_nodes=100, 200",
         "--set", "sweep.d=600"]
+# theta x N x d with a 360 deg beam and one d <= r: every trial's field is
+# shared by the six (theta, d) cells of its N
+SHARED = ["--set", "sweep.n_nodes=100, 200"]
 
 # name -> (argv without --out, sha256 of the written file)
 GOLDEN = {
@@ -31,6 +34,14 @@ GOLDEN = {
                               "--set", "placement=poisson",
                               "--set", "direction_error_deg=10", "--workers", "2"],
                              "fa7c1b36ad5338af218815818776a9ec7e51520725db7bdb8212f5032b7fc315"),
+    "sweep-shared-fields.csv": (["sweep", *SMALL, *SHARED, "--set", "sweep.theta_deg=90, 360",
+                                 "--set", "sweep.d=150, 600, 1000", "--set", "sweep.trials=8"],
+                                "94323f5bb6fb90edbf390bc97b87e4f27fdaa9da94d4856bbec98291d33ad01c"),
+    "sweep-shared-fields-poisson-2w.csv": (
+        ["sweep", *SMALL, *SHARED, "--set", "sweep.theta_deg=45, 360",
+         "--set", "sweep.d=200, 600, 1200", "--set", "sweep.trials=6",
+         "--set", "placement=poisson", "--set", "direction_error_deg=10", "--workers", "2"],
+        "de9cc06be3dfa5a00bb4b194213e8c3d0ffeaad3f70afe71633174cf53c28199"),
     "compare.csv": (["compare", *SMALL, "--set", "sweep.theta_deg=60, 120",
                      "--set", "sweep.n_nodes=80", "--set", "sweep.trials=5"],
                     "cc91a95b8d28e0539f506930f3d0ada149160ebebd21fc80d0389736b0c389f3"),
