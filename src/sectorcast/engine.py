@@ -1,4 +1,4 @@
-"""Round-synchronous directional flood, run for a batch of trials in lockstep.
+"""Round-synchronous directional flood, run for a batch of floods in lockstep.
 
 Round 0's only transmitter is the source.  Every transmitter emits once
 into a sector of radius r and half-angle theta/2 aimed at the destination
@@ -7,9 +7,12 @@ are covered, newly covered nodes relay exactly once in the next round, and
 the flood runs until no transmitters remain, whether or not the destination
 was reached earlier.
 
-propagate_batch floods the trials of one cell together: each round tests
-every (transmitter, candidate) pair of every trial in a few numpy passes
-over flat (trial, node) rows.  propagate is its one-trial call.
+propagate_batch floods many scenarios together: each round tests every
+(transmitter, candidate) pair of every flood in a few numpy passes.  The
+spatial index holds nodes only, one group per distinct nodes array, so the
+floods of a sweep trial that differ only in theta and d share one group;
+each flood keeps its own covered slots, and each transmitter tests its own
+destination as one extra point.  propagate is the one-flood call.
 
 Node identifiers: ordinary nodes are their row index in scenario.nodes,
 the destination is index n_nodes, and the source is SOURCE_ID (-1).
@@ -110,12 +113,30 @@ class GridIndex:
         return starts + np.arange(len(starts))
 
 
+def _in_sectors(dx: np.ndarray, dy: np.ndarray, ux: np.ndarray, uy: np.ndarray, r2: float,
+                cos_half: np.ndarray | float, full: np.ndarray | bool) -> np.ndarray:
+    """The in_sector oracle's test, elementwise, for points at (dx, dy) from
+    their apexes: 0 < q <= r2 and, unless full (a 360-degree sector), the
+    dot product with the axis is at least sqrt(q) * cos(half-angle).
+    cos_half and full are per-point arrays or scalars."""
+    q = dx * dx + dy * dy
+    ok = (q > 0.0) & (q <= r2)
+    if np.ndim(full):
+        ok &= full | (dx * ux + dy * uy >= np.sqrt(q) * cos_half)
+    elif not full:
+        ok &= dx * ux + dy * uy >= np.sqrt(q) * cos_half
+    return ok
+
+
 def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray,
-                uy: np.ndarray, groups: np.ndarray, half_angle: float):
+                uy: np.ndarray, groups: np.ndarray, cos_half: np.ndarray | float,
+                full: np.ndarray | bool):
     """Yield (query, point id) hit pairs, one chunk of about ROUND_CHUNK
-    candidate pairs at a time, for sectors of half_angle and the index's
-    radius at apexes (xs, ys) pointing along unit vectors (ux, uy); same
-    arithmetic as the scalar in_sector oracle in tests/oracles.py.
+    candidate pairs at a time, for sectors of the index's radius at apexes
+    (xs, ys) pointing along unit vectors (ux, uy); same arithmetic as the
+    scalar in_sector oracle in tests/oracles.py.  cos_half (cos of the
+    half-angle) and full (a 360-degree sector) are per-query arrays, or
+    scalars when every query has the same half-angle.
     """
     query, lo, hi = index.ranges(xs, ys, groups)
     ends = np.cumsum(hi - lo)
@@ -124,16 +145,12 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray
         cuts = np.searchsorted(ends, np.arange(ROUND_CHUNK, ends[-1], ROUND_CHUNK), side="right")
         cuts = np.unique(cuts[(cuts > 0) & (cuts < len(lo))]).tolist()
     r2 = index.radius * index.radius
-    cos_half = math.cos(half_angle)
     for a, b in zip((0, *cuts), (*cuts, len(lo))):
         pos = index.candidates(lo[a:b], hi[a:b])
         owner = np.repeat(query[a:b], hi[a:b] - lo[a:b])
-        dx = index.sorted_x[pos] - xs[owner]
-        dy = index.sorted_y[pos] - ys[owner]
-        q = dx * dx + dy * dy
-        ok = (q > 0.0) & (q <= r2)
-        if half_angle < math.pi:
-            ok &= dx * ux[owner] + dy * uy[owner] >= np.sqrt(q) * cos_half
+        c, f = (cos_half[owner], full[owner]) if np.ndim(cos_half) else (cos_half, full)
+        ok = _in_sectors(index.sorted_x[pos] - xs[owner], index.sorted_y[pos] - ys[owner],
+                         ux[owner], uy[owner], r2, c, f)
         yield owner[ok], index.order[pos[ok]]
 
 
@@ -156,51 +173,46 @@ def aim_vectors(xs: np.ndarray, ys: np.ndarray, dest_x: np.ndarray, dest_y: np.n
             np.fromiter(map(math.sin, axes), float, len(axes)))
 
 
-def build_index(scenarios: Sequence[Scenario]) -> GridIndex:
-    """Index over each scenario's nodes then its destination, grouped by scenario."""
-    rows = []
-    for s in scenarios:
-        rows += [s.nodes, [[s.destination.x, s.destination.y]]]
-    sizes = [len(s.nodes) + 1 for s in scenarios]
-    return GridIndex(np.concatenate(rows), scenarios[0].config.radius,
-                     np.repeat(np.arange(len(scenarios)), sizes))
+def build_index(fields: Sequence[np.ndarray], radius: float) -> GridIndex:
+    """Index over the nodes of each field, grouped by field."""
+    return GridIndex(np.concatenate(fields), radius,
+                     np.repeat(np.arange(len(fields)), [len(f) for f in fields]))
 
 
 @dataclass(frozen=True)
 class BatchOutcome:
-    """Floods of a batch of trials over flat rows.
+    """Floods of a batch of scenarios.
 
-    Trial b owns rows offsets[b] .. offsets[b + 1] - 1: its nodes in order,
-    then its destination.  Every covered node relays exactly once, so a
-    trial's transmitters are its source and its covered nodes.
+    Flood b owns slots offsets[b] .. offsets[b + 1] - 1 of covered, one per
+    node of its scenario in order, and reached[b] says whether it reached
+    its destination.  Every covered node relays exactly once, so a flood's
+    transmitters are its source and its covered nodes.
     """
 
-    offsets: np.ndarray    # (B + 1,) row offsets
-    covered: np.ndarray    # per row: the message reached it
+    offsets: np.ndarray    # (B + 1,) slot offsets
+    covered: np.ndarray    # per slot: the message reached the node
+    reached: np.ndarray    # (B,) the message reached the destination
     first_hop: np.ndarray  # (B,) round that first reached the destination, 0 if none
     per_round: np.ndarray  # (rounds, B) transmitters per round
 
     @property
-    def success(self) -> np.ndarray:
-        return self.covered[self.offsets[1:] - 1]
-
-    @property
     def implicated(self) -> np.ndarray:
-        """Transmitters per trial, the source included."""
+        """Transmitters per flood, the source included."""
         total = np.concatenate(([0], np.cumsum(self.covered)))
-        return total[self.offsets[1:]] - total[self.offsets[:-1]] - self.success + 1
+        return total[self.offsets[1:]] - total[self.offsets[:-1]] + 1
 
     def outcome(self, b: int) -> BroadcastOutcome:
-        lo, hi = self.offsets[b], self.offsets[b + 1]
-        covered = np.flatnonzero(self.covered[lo:hi])
+        lo, hi = int(self.offsets[b]), int(self.offsets[b + 1])
+        nodes = np.flatnonzero(self.covered[lo:hi]).tolist()
+        success = bool(self.reached[b])
         counts = self.per_round[:, b]
         counts = counts[counts > 0]
         hop = int(self.first_hop[b])
         return BroadcastOutcome(
-            success=bool(self.covered[hi - 1]),
+            success=success,
             first_delivery_hop=hop or None,
-            implicated=frozenset([SOURCE_ID, *covered[covered < hi - lo - 1].tolist()]),
-            covered=frozenset(covered.tolist()),
+            implicated=frozenset([SOURCE_ID, *nodes]),
+            covered=frozenset([*nodes, hi - lo] if success else nodes),
             rounds=len(counts),
             per_round_transmitters=tuple(counts.tolist()),
         )
@@ -210,72 +222,98 @@ def propagate_batch(scenarios: Sequence[Scenario],
                     rngs: Sequence[np.random.Generator] | None = None) -> BatchOutcome:
     """Flood every scenario to exhaustion, all in lockstep.
 
-    The scenarios share radius, theta and direction_error_bound (the trials
-    of one cell).  rngs[b] supplies scenario b's direction errors, drawn up
-    front and keyed by node id so outcomes are independent of iteration
-    order and batching; it is only consumed when direction_error_bound is
-    nonzero, and defaults to the scenario's aiming stream
-    SeedSequence((seed, 1)).
+    The scenarios share radius and direction_error_bound; theta, endpoints
+    and nodes may differ.  Scenarios that pass the same nodes array (the
+    cells of a sweep trial that differ only in theta and d) share one group
+    of the index, while each keeps its own covered slots.  Direction errors
+    are drawn up front and keyed by node id, so outcomes are independent of
+    iteration order and batching.  rngs[b] supplies scenario b's errors; by
+    default they come from the aiming stream SeedSequence((seed, 1)) of its
+    config seed, drawn once for all scenarios with the same nodes array and
+    seed.  Streams are only consumed when direction_error_bound is nonzero.
     """
     cfg = scenarios[0].config
-    shared = (cfg.radius, cfg.theta, cfg.direction_error_bound)
-    if any((s.config.radius, s.config.theta, s.config.direction_error_bound) != shared
-           for s in scenarios):
-        raise ValueError("a batch must share radius, theta and direction_error_bound")
-    n_trials = len(scenarios)
-    index = build_index(scenarios)
-    trial = index.groups
-    offsets = np.concatenate(([0], np.cumsum([len(s.nodes) + 1 for s in scenarios])))
-    dest_rows = offsets[1:] - 1
-    is_dest = np.zeros(len(trial), dtype=bool)
-    is_dest[dest_rows] = True
-    dest_x, dest_y = index.points[dest_rows, 0], index.points[dest_rows, 1]
+    shared = (cfg.radius, cfg.direction_error_bound)
+    if any((s.config.radius, s.config.direction_error_bound) != shared for s in scenarios):
+        raise ValueError("a batch must share radius and direction_error_bound")
+    n_floods = len(scenarios)
+    groups: dict[int, int] = {}
+    field_of = np.array([groups.setdefault(id(s.nodes), len(groups)) for s in scenarios],
+                        np.int64)
+    fields = list({id(s.nodes): s.nodes for s in scenarios}.values())
+    index = build_index(fields, cfg.radius)
+    field_start = np.concatenate(([0], np.cumsum([len(f) for f in fields])))
+    offsets = np.concatenate(([0], np.cumsum([len(s.nodes) for s in scenarios])))
+    shift = offsets[:-1] - field_start[field_of]  # flood b's slot = index row + shift[b]
 
     eps = cfg.direction_error_bound
-    row_delta = np.zeros(len(trial))
-    src_delta = np.zeros(n_trials)
+    slot_delta = np.zeros(offsets[-1])
+    src_delta = np.zeros(n_floods)
     if eps > 0.0:
+        default_draws = {}
         for b, s in enumerate(scenarios):
-            rng = rngs[b] if rngs is not None else np.random.default_rng(
-                np.random.SeedSequence((s.config.seed, 1)))
+            if rngs is not None:
+                draws = rngs[b].uniform(-eps, eps, size=len(s.nodes) + 1)
+            else:
+                key = (id(s.nodes), s.config.seed)
+                if key not in default_draws:
+                    rng = np.random.default_rng(np.random.SeedSequence((s.config.seed, 1)))
+                    default_draws[key] = rng.uniform(-eps, eps, size=len(s.nodes) + 1)
+                draws = default_draws[key]
             # draws[0] belongs to the source, draws[i + 1] to node i
-            draws = rng.uniform(-eps, eps, size=len(s.nodes) + 1)
             src_delta[b] = draws[0]
-            row_delta[offsets[b]:dest_rows[b]] = draws[1:]
+            slot_delta[offsets[b]:offsets[b + 1]] = draws[1:]
 
-    covered = np.zeros(len(trial), dtype=bool)
-    stamp = np.zeros(len(trial), dtype=np.int64)
-    first_hop = np.zeros(n_trials, dtype=np.int64)
+    r2 = cfg.radius * cfg.radius
+    halves = np.array([s.config.theta / 2.0 for s in scenarios])
+    cos_half = np.array([math.cos(h) for h in halves.tolist()])
+    full = halves >= math.pi
+    one_beam = bool((halves == halves[0]).all())  # then sector_hits takes scalars
+    dest_x = np.array([s.destination.x for s in scenarios])
+    dest_y = np.array([s.destination.y for s in scenarios])
+    covered = np.zeros(offsets[-1], dtype=bool)
+    stamp = np.zeros(offsets[-1], dtype=np.int64)
+    reached = np.zeros(n_floods, dtype=bool)
+    first_hop = np.zeros(n_floods, dtype=np.int64)
     per_round = []
 
-    tx_trial = np.arange(n_trials)
+    tx_flood = np.arange(n_floods)
     tx_x = np.array([s.source.x for s in scenarios])
     tx_y = np.array([s.source.y for s in scenarios])
     tx_delta = src_delta
-    while len(tx_trial):
-        per_round.append(np.bincount(tx_trial, minlength=n_trials))
-        ux, uy = aim_vectors(tx_x, tx_y, dest_x[tx_trial], dest_y[tx_trial], tx_delta)
+    while len(tx_flood):
+        per_round.append(np.bincount(tx_flood, minlength=n_floods))
+        to_x, to_y = dest_x[tx_flood], dest_y[tx_flood]
+        ux, uy = aim_vectors(tx_x, tx_y, to_x, to_y, tx_delta)
+        tx_cos, tx_full = ((cos_half[0], full[0]) if one_beam
+                           else (cos_half[tx_flood], full[tx_flood]))
+        # each transmitter tests its own destination as one extra point
+        hit = tx_flood[_in_sectors(to_x - tx_x, to_y - tx_y, ux, uy, r2, tx_cos, tx_full)]
+        hit = hit[~reached[hit]]
+        reached[hit] = True
+        first_hop[hit] = len(per_round)
         fresh = []
-        for _, rows in sector_hits(index, tx_x, tx_y, ux, uy, tx_trial, cfg.theta / 2.0):
-            rows = rows[~covered[rows]]
-            covered[rows] = True
-            fresh.append(rows)
+        tx_shift = shift[tx_flood]
+        for owner, rows in sector_hits(index, tx_x, tx_y, ux, uy, field_of[tx_flood],
+                                       tx_cos, tx_full):
+            slots = rows + tx_shift[owner]
+            slots = slots[~covered[slots]]
+            covered[slots] = True
+            fresh.append(slots)
         fresh = np.concatenate(fresh)
-        # one entry per row: a row hit twice in a chunk keeps its last slot
-        slots = np.arange(len(fresh))
-        stamp[fresh] = slots
-        fresh = fresh[stamp[fresh] == slots]
-        reached = is_dest[fresh]
-        first_hop[trial[fresh[reached]]] = len(per_round)
-        tx = fresh[~reached]
-        tx_trial = trial[tx]
-        tx_x, tx_y = index.points[tx, 0], index.points[tx, 1]
-        tx_delta = row_delta[tx]
+        # one entry per slot: a slot hit twice in a chunk keeps its last entry
+        order = np.arange(len(fresh))
+        stamp[fresh] = order
+        fresh = fresh[stamp[fresh] == order]
+        tx_flood = np.searchsorted(offsets, fresh, side="right") - 1
+        tx_rows = fresh - shift[tx_flood]
+        tx_x, tx_y = index.points[tx_rows, 0], index.points[tx_rows, 1]
+        tx_delta = slot_delta[fresh]
 
-    return BatchOutcome(offsets=offsets, covered=covered, first_hop=first_hop,
-                        per_round=np.array(per_round).reshape(-1, n_trials))
+    return BatchOutcome(offsets=offsets, covered=covered, reached=reached, first_hop=first_hop,
+                        per_round=np.array(per_round).reshape(-1, n_floods))
 
 
 def propagate(scenario: Scenario, rng: np.random.Generator | None = None) -> BroadcastOutcome:
-    """Run one flood to exhaustion: the one-trial call of propagate_batch."""
+    """Run one flood to exhaustion: the one-scenario call of propagate_batch."""
     return propagate_batch([scenario], None if rng is None else [rng]).outcome(0)

@@ -2,10 +2,14 @@
 
 A cell is one (theta, n_nodes, sd_distance) configuration run for a number
 of independent trials; a sweep is the cross product of value lists.  Trial
-t of a cell reseeds the config with derive_seed(seed, t), so results are
-reproducible and independent of execution order: a cell's trials are
-flooded in lockstep batches, and neither the batching nor optional
-process-level parallelism changes anything but wall time.
+t of a cell reseeds the config with derive_seed(seed, t), and the field
+depends only on that seed and n_nodes, so every cell of a sweep with the
+same n_nodes floods the same field in trial t.  A sweep therefore runs in
+units of (cells with one n_nodes, trial range): a unit derives each trial
+seed once, generates each field once and floods all its cells' trials in
+one lockstep batch.  Results are reproducible and independent of execution
+order: neither the units nor optional process-level parallelism change
+anything but wall time.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,16 +28,17 @@ from scipy.special import betaincinv
 # propagate stays importable here: trace tools wrap experiments.propagate
 from .engine import propagate, propagate_batch  # noqa: F401
 from .leafmodel import build_leaf, predicted_ratio, relative_error
-from .scenario import ConfigError, ScenarioConfig, derive_seed, generate
+from .scenario import (ConfigError, Scenario, ScenarioConfig, derive_seed, endpoint_positions,
+                       generate)
 
 logger = logging.getLogger(__name__)
 
 DEFAULT_TRIALS = 500
 MAX_TRIALS = 100_000
 
-# A batch floods as many of a cell's trials in lockstep as fit in about
-# this many node rows (at least one trial).
-BATCH_ROWS = 1 << 15
+# A unit floods as many cells and trials in lockstep as fit in this many
+# flood slots, cells x trials x (n_nodes + 1) (at least one cell and trial).
+BATCH_ROWS = 1 << 17
 
 # Default evaluation grid: theta 22.5..135 degrees, N 1000..3000, d 1000..3000 m.
 DEFAULT_THETA_GRID_DEG = (22.5, 45.0, 67.5, 90.0, 112.5, 135.0)
@@ -100,20 +106,49 @@ class CellResult:
     model_relative_error: float | None
 
 
-def _batches(config: ScenarioConfig, trials: int) -> list[tuple[int, int]]:
-    """[first, stop) trial ranges of near-equal size, each within BATCH_ROWS rows."""
-    count = -(-trials // max(1, BATCH_ROWS // (config.n_nodes + 1)))
-    edges = [trials * k // count for k in range(count + 1)]
+def _even_cuts(total: int, most: int) -> list[tuple[int, int]]:
+    """[first, stop) ranges of near-equal size covering range(total), each
+    at most max(1, most) long."""
+    count = -(-total // max(1, most))
+    edges = [total * k // count for k in range(count + 1)]
     return list(zip(edges, edges[1:]))
 
 
-def _run_batch(config: ScenarioConfig, first: int,
-               stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trials first..stop-1 of a cell: (success, implicated ratio, hops-or-0) arrays."""
-    flood = propagate_batch([generate(replace(config, seed=derive_seed(config.seed, t)))
-                             for t in range(first, stop)])
-    success = flood.success
-    return success, flood.implicated / (config.n_nodes + 1), np.where(success, flood.first_hop, 0)
+def _units(cells: list[ScenarioConfig], trials: int) -> list[tuple[list[int], int, int]]:
+    """(cell positions, first, stop) sweep units.
+
+    The cells with one n_nodes form a group that shares each trial's field;
+    a group is cut into near-equal chunks of cells and trial ranges so that
+    each unit holds at most BATCH_ROWS flood slots.
+    """
+    groups: dict[int, list[int]] = {}
+    for pos, cfg in enumerate(cells):
+        groups.setdefault(cfg.n_nodes, []).append(pos)
+    units = []
+    for n_nodes, members in groups.items():
+        for a, b in _even_cuts(len(members), BATCH_ROWS // (n_nodes + 1)):
+            units += [(members[a:b], first, stop) for first, stop
+                      in _even_cuts(trials, BATCH_ROWS // ((b - a) * (n_nodes + 1)))]
+    return units
+
+
+def _run_unit(configs: list[ScenarioConfig], first: int,
+              stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Trials first..stop-1 of cells sharing n_nodes and base seed: (success,
+    implicated ratio, hops-or-0) arrays of shape (cells, trials)."""
+    scenarios = []
+    for t in range(first, stop):
+        seed = derive_seed(configs[0].seed, t)
+        nodes = generate(replace(configs[0], seed=seed)).nodes
+        for cfg in configs:
+            cfg = replace(cfg, seed=seed)
+            scenarios.append(Scenario(nodes, *endpoint_positions(cfg), cfg))
+    flood = propagate_batch(scenarios)
+    shape = (stop - first, len(configs))
+    success = flood.reached
+    ratio = flood.implicated / (configs[0].n_nodes + 1)
+    hops = np.where(success, flood.first_hop, 0)
+    return success.reshape(shape).T, ratio.reshape(shape).T, hops.reshape(shape).T
 
 
 def _success_halfwidth(successes: int, trials: int) -> float:
@@ -167,34 +202,28 @@ def _summarise(config: ScenarioConfig, success_flags: np.ndarray, ratios: np.nda
     )
 
 
-def _cell_results(units, parts, trials: int) -> list[CellResult]:
-    """Summarise each cell as soon as the batch holding its last trial arrives."""
-    results, done = [], []
-    for (cfg, _, stop), part in zip(units, parts):
-        done.append(part)
-        if stop == trials:
-            results.append(_summarise(cfg, *map(np.concatenate, zip(*done))))
-            done = []
-    return results
-
-
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CellResult]:
     """Run every cell of the sweep; deterministic (d, n, theta) order.
 
-    Every (cell, trial batch) unit goes through one map: in-process, or one
-    pool of min(workers, usable CPUs, units) processes for the whole sweep.
+    Every unit goes through one map: in-process, or one pool of
+    min(workers, usable CPUs, units) processes for the whole sweep.  Unit
+    results are gathered by cell position, so a value listed twice gives
+    two cells with spec.trials trials each.
     """
     cells = spec.cells()
     t0 = time.perf_counter()
-    units = [(cfg, first, stop) for cfg in cells for first, stop in _batches(cfg, spec.trials)]
+    units = _units(cells, spec.trials)
+    args = zip(*(([cells[pos] for pos in chunk], first, stop) for chunk, first, stop in units))
     workers = min(workers, _usable_cpus(), len(units))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = _cell_results(units, pool.map(
-                _run_batch, *zip(*units), chunksize=max(1, len(units) // (8 * workers))),
-                spec.trials)
-    else:
-        results = _cell_results(units, map(_run_batch, *zip(*units)), spec.trials)
+    parts = [[] for _ in cells]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        outputs = (pool.map(_run_unit, *args, chunksize=max(1, len(units) // (8 * workers)))
+                   if pool else map(_run_unit, *args))
+        for (chunk, _, _), arrays in zip(units, outputs):
+            for pos, cell_arrays in zip(chunk, zip(*arrays)):
+                parts[pos].append(cell_arrays)
+    results = [_summarise(cfg, *map(np.concatenate, zip(*cell_parts)))
+               for cfg, cell_parts in zip(cells, parts)]
     logger.info("sweep: %d cells x %d trials in %.1f s",
                 len(cells), spec.trials, time.perf_counter() - t0)
     return results

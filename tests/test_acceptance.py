@@ -14,7 +14,7 @@ import pytest
 
 from sectorcast import cli, configio
 from sectorcast.engine import propagate
-from sectorcast.experiments import run_cell
+from sectorcast.experiments import SweepSpec, run_sweep
 from sectorcast.leafmodel import build_leaf, chain_vertices
 from sectorcast.scenario import ScenarioConfig, generate
 
@@ -37,6 +37,14 @@ GRID_CELLS = sorted(
     | {(90.0, 1000, 3000.0), (90.0, 3000, 3000.0)}
 )
 
+# (theta_deg, n_nodes, d) cross products that cover GRID_CELLS; each is one
+# run_sweep, whose cells with one N share each trial's field
+GRID_SWEEPS = (
+    ((22.5, 45.0, 67.5, 90.0, 112.5, 120.0, 135.0), (1000, 3000), (1000.0,)),
+    ((22.5, 45.0, 67.5, 90.0, 100.0), (2000,), (1000.0,)),
+    ((90.0,), (1000, 3000), (3000.0,)),
+)
+
 
 def report(criterion: str, ok: bool, detail: str) -> bool:
     print(f"[{'PASS' if ok else 'FAIL'}] {criterion}: {detail}")
@@ -45,13 +53,15 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 
 @pytest.fixture(scope="session")
 def grid():
+    base = ScenarioConfig(square_side=SIDE, radius=RADIUS, seed=SEED)
     results = {}
-    for theta_deg, n, d in GRID_CELLS:
-        cfg = ScenarioConfig(square_side=SIDE, n_nodes=n, radius=RADIUS,
-                             theta=math.radians(theta_deg), sd_distance=d,
-                             seed=SEED)
-        results[(theta_deg, n, d)] = run_cell(cfg, trials=TRIALS)
-    return results
+    for thetas, ns, ds in GRID_SWEEPS:
+        spec = SweepSpec(base=base, theta_values=tuple(math.radians(t) for t in thetas),
+                         n_values=ns, d_values=ds, trials=TRIALS)
+        # run_sweep orders its cells by (d, n, theta)
+        keys = [(t, n, d) for d in sorted(ds) for n in sorted(ns) for t in sorted(thetas)]
+        results.update(zip(keys, run_sweep(spec)))
+    return {cell: results[cell] for cell in GRID_CELLS}
 
 
 def test_criterion_1_model_simulation_agreement(grid):

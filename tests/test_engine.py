@@ -4,16 +4,25 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from sectorcast.engine import (
     SOURCE_ID,
     GridIndex,
     aim_vectors,
     propagate,
+    propagate_batch,
     sector_hits,
 )
 from sectorcast.leafmodel import chain_vertices
-from sectorcast.scenario import Point2D, Scenario, ScenarioConfig, generate
+from sectorcast.scenario import (
+    Placement,
+    Point2D,
+    Scenario,
+    ScenarioConfig,
+    endpoint_positions,
+    generate,
+)
 
 from oracles import TWO_PI, Sector, brute_force_flood, in_sector
 
@@ -153,6 +162,96 @@ def test_direction_error_defaults_to_aim_stream():
     assert hits == {True, False}
 
 
+def shared_field(cfg, thetas_deg, distances):
+    """Scenarios over one generated nodes array, one per (d, theta), built as
+    a sweep unit builds the cells of one trial."""
+    nodes = generate(cfg).nodes
+    out = []
+    for d in distances:
+        for theta_deg in thetas_deg:
+            cell = replace(cfg, theta=math.radians(theta_deg), sd_distance=d)
+            out.append(Scenario(nodes, *endpoint_positions(cell), cell))
+    return out
+
+
+def test_batch_over_shared_nodes_matches_single_floods():
+    # floods that share a nodes array share an index group and an aiming
+    # draw, yet each must equal its one-scenario propagate
+    base = ScenarioConfig(square_side=1500.0, radius=250.0)
+    delivered = set()
+    for eps_deg in (0.0, 10.0):
+        for placement in (Placement.FIXED_COUNT, Placement.POISSON_COUNT):
+            for n in (90, 0):
+                scenarios = []
+                for seed in (3, 4):  # two trials' fields in one batch
+                    cfg = replace(base, n_nodes=n, seed=seed, placement=placement,
+                                  direction_error_bound=math.radians(eps_deg))
+                    scenarios += shared_field(cfg, (5.0, 135.0, 360.0), (0.0, 150.0, 250.0, 900.0))
+                # the same nodes under another seed draw their own aiming errors
+                scenarios += [replace(s, config=replace(s.config, seed=s.config.seed + 100))
+                              for s in scenarios[:12]]
+                batch = propagate_batch(scenarios)
+                assert len({id(s.nodes) for s in scenarios}) == 2
+                for b, scenario in enumerate(scenarios):
+                    want = propagate(scenario)
+                    assert batch.outcome(b) == want, (eps_deg, placement, n, b)
+                    assert batch.reached[b] == want.success
+                    assert batch.implicated[b] == len(want.implicated)
+                    delivered.add(want.success)
+    assert delivered == {True, False}
+
+
+def test_batch_requires_shared_radius_and_aim_error():
+    s = make_scenario([(100.0, 0.0)], (0.0, 0.0), (300.0, 0.0))
+    wider = replace(s, config=replace(s.config, radius=250.0))
+    noisy = replace(s, config=replace(s.config, direction_error_bound=0.1))
+    for other in (wider, noisy):
+        with pytest.raises(ValueError, match="share radius"):
+            propagate_batch([s, other])
+
+
+class FixedAim:
+    """An aiming stream that hands out chosen errors: the first to the
+    source, the next to node 0, and so on (repeated to the size asked)."""
+
+    def __init__(self, *errors):
+        self.errors = np.array(errors)
+
+    def uniform(self, low, high, size):
+        return np.resize(self.errors, size)
+
+
+def test_destination_at_range_and_on_edge_ray_matches_oracle():
+    # the destination is tested outside the index, by each transmitter;
+    # at distance exactly r or on an edge ray of the sector it must get
+    # the in_sector oracle's verdict
+    half = math.radians(30.0)
+    errors = (0.0, half, -half, math.nextafter(half, 0.0), math.nextafter(half, 1.0))
+    dests = [(200.0, 0.0), (120.0, 160.0), (-120.0, -160.0), (0.0, -200.0),
+             (math.nextafter(200.0, 300.0), 0.0)]
+    verdicts, relayed = set(), set()
+    for dest in dests:
+        for err in errors:
+            # the source alone: delivery is the oracle's verdict on the destination
+            s = make_scenario([], (0.0, 0.0), dest, theta_deg=60.0, eps=half)
+            axis = (math.atan2(dest[1], dest[0]) % TWO_PI + err) % TWO_PI
+            sector = Sector(apex=Point2D(0.0, 0.0), axis=axis, half_angle=half, radius=200.0)
+            assert propagate(s, FixedAim(err)).success == in_sector(Point2D(*dest), sector)
+            verdicts.add(in_sector(Point2D(*dest), sector))
+            # a relay at exactly r from the destination, aimed with the error
+            sign = math.copysign(1.0, dest[0] or 1.0)
+            relay = (dest[0] - 200.0 * sign, dest[1])
+            s = make_scenario([relay], (relay[0] - 100.0 * sign, relay[1]), dest,
+                              theta_deg=60.0, eps=half)
+            got = propagate(s, FixedAim(0.0, err))
+            want = brute_force_flood(s, FixedAim(0.0, err))
+            assert (got.success, got.first_delivery_hop, got.covered, got.implicated) == (
+                want["success"], want["first_delivery_hop"], want["covered"],
+                want["implicated"])
+            relayed.add(got.success)
+    assert verdicts == relayed == {True, False}
+
+
 def test_matches_brute_force_on_small_scenarios():
     rng = np.random.default_rng(6)
     for k in range(25):
@@ -172,8 +271,10 @@ def batched_hits(index, apexes, axes, half_angle, groups=None):
     ux = np.array([math.cos(a) for a in axes], dtype=float)
     uy = np.array([math.sin(a) for a in axes], dtype=float)
     groups = np.zeros(len(xs), np.int64) if groups is None else np.asarray(groups)
+    cos_half = np.full(len(xs), math.cos(half_angle))
+    full = np.full(len(xs), half_angle >= math.pi)
     found = [set() for _ in apexes]
-    for owner, ids in sector_hits(index, xs, ys, ux, uy, groups, half_angle):
+    for owner, ids in sector_hits(index, xs, ys, ux, uy, groups, cos_half, full):
         for o, i in zip(owner.tolist(), ids.tolist()):
             found[o].add(i)
     return found

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -206,15 +207,15 @@ def test_sweep_default_grid_shape():
 
 
 def test_workers_match_serial(monkeypatch):
-    monkeypatch.setattr(experiments, "BATCH_ROWS", 82)  # 4 batches of 2 trials: a pool starts
+    monkeypatch.setattr(experiments, "BATCH_ROWS", 82)  # 4 units of 2 trials: a pool starts
     cfg = small_config(n_nodes=40)
     assert same_cells([run_cell(cfg, trials=8, workers=2)], [run_cell(cfg, trials=8)])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_batches_match_per_trial_propagate(monkeypatch, workers):
-    # 150 rows a batch hold 2 trials at N 60, so 7 trials span batches of
-    # 1, 2, 2 and 2; Poisson counts make the batches' rows ragged
+    # 150 slots a unit hold 2 trials of one cell at N 60, so 7 trials span
+    # units of 1, 2, 2 and 2; Poisson counts make the units' slots ragged
     monkeypatch.setattr(experiments, "BATCH_ROWS", 150)
     base = small_config(n_nodes=60, seed=21)
     cells = [
@@ -224,24 +225,30 @@ def test_batches_match_per_trial_propagate(monkeypatch, workers):
                 theta=math.radians(60.0), direction_error_bound=math.radians(10.0)),
         replace(base, theta=2 * math.pi, radius=650.0),  # d <= r: no leaf model
     ]
-    assert experiments._batches(base, 7) == [(0, 1), (1, 3), (3, 5), (5, 7)]
+    assert experiments._units([base], 7) == [([0], 0, 1), ([0], 1, 3), ([0], 3, 5), ([0], 5, 7)]
     for cfg in cells:
         rows = trial_rows(cfg, 7)
         assert same_cells([run_cell(cfg, trials=7, workers=workers)], [summary_of(cfg, rows)])
+    # mixed theta (one of them 360 deg) and d (one <= r) in units that share
+    # each trial's field; N 60's four cells need two chunks of two
     spec = SweepSpec(base=replace(base, radius=650.0),
                      theta_values=(math.radians(45.0), 2 * math.pi),
-                     n_values=(30, 60), d_values=(600.0,), trials=5)
-    want = [summary_of(cfg, trial_rows(cfg, 5)) for cfg in spec.cells()]
+                     n_values=(30, 60), d_values=(600.0, 800.0), trials=5)
+    cells = spec.cells()
+    units = experiments._units(cells, 5)
+    assert [chunk for chunk, _, _ in units] == [[0, 1, 4, 5]] * 5 + [[2, 3]] * 5 + [[6, 7]] * 5
+    want = [summary_of(cfg, trial_rows(cfg, 5)) for cfg in cells]
     assert same_cells(run_sweep(spec, workers=workers), want)
 
 
-def test_workers_clamped_to_cpus_and_trials(monkeypatch):
-    # a recorder stands in for the pool, so no process is ever started
-    started = []
+def recording_pool(monkeypatch, run=None):
+    """Replace the process pool with a recorder of pool sizes and mapped
+    units, so no process starts; run(fn, *unit) stands in for fn(*unit)."""
+    record = SimpleNamespace(started=[], units=[])
 
-    class RecordingPool:
+    class Pool:
         def __init__(self, max_workers):
-            started.append(max_workers)
+            record.started.append(max_workers)
 
         def __enter__(self):
             return self
@@ -250,21 +257,57 @@ def test_workers_clamped_to_cpus_and_trials(monkeypatch):
             return False
 
         def map(self, fn, *iterables, chunksize=1):
-            return map(fn, *iterables)
+            units = list(zip(*iterables))
+            record.units.extend(units)
+            return [run(fn, *unit) if run else fn(*unit) for unit in units]
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+    return record
+
+
+def test_workers_clamped_to_cpus_and_trials(monkeypatch):
+    pool = recording_pool(monkeypatch)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(experiments, "BATCH_ROWS", 82)  # 2 trials a batch at N 40
+    monkeypatch.setattr(experiments, "BATCH_ROWS", 82)  # 2 floods a unit at N 40
     cfg = small_config(n_nodes=40)
     for trials, workers in ((10, 5000), (6, 5000), (3, 5000), (10, 2), (2, 5000)):
         run_cell(cfg, trials=trials, workers=workers)
-    assert started == [4, 3, 2, 2]  # one batch runs in-process, without a pool
-    # a sweep starts one pool for all its cells, capped by its batches
-    started.clear()
+    assert pool.started == [4, 3, 2, 2]  # one unit runs in-process, without a pool
+    # a sweep starts one pool for all its units: its 4 cells share N, so each
+    # trial's field is flooded by chunks of 2 cells, one trial a unit
+    pool.started.clear()
+    pool.units.clear()
     spec = SweepSpec(base=cfg, theta_values=(math.radians(45.0), math.radians(90.0)),
                      n_values=(40,), d_values=(400.0, 600.0), trials=2)
     assert same_cells(run_sweep(spec, workers=5000), run_sweep(spec))
-    assert started == [4]
-    spec = replace(spec, d_values=(600.0,))
-    run_sweep(spec, workers=5000)
-    assert started == [4, 2]
+    assert pool.started == [4]
+    cells = spec.cells()
+    assert [([c.sd_distance for c in configs], first, stop) for configs, first, stop
+            in pool.units] == [([400.0, 400.0], 0, 1), ([400.0, 400.0], 1, 2),
+                               ([600.0, 600.0], 0, 1), ([600.0, 600.0], 1, 2)]
+    assert [list(configs) for configs, _, _ in pool.units[::2]] == [cells[:2], cells[2:]]
+    run_sweep(replace(spec, d_values=(600.0,)), workers=5000)
+    assert pool.started == [4, 2]
+
+
+def test_units_fit_slot_budget(monkeypatch):
+    # 60 theta x 3 d cells at N 3000 hold 540,180 slots a trial: the group is
+    # cut into chunks of cells, every unit within BATCH_ROWS slots
+    def no_flood(fn, configs, first, stop):
+        shape = (len(configs), stop - first)
+        return np.zeros(shape, bool), np.ones(shape), np.zeros(shape, np.int64)
+
+    pool = recording_pool(monkeypatch, no_flood)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    spec = SweepSpec(base=small_config(square_side=4000.0),
+                     theta_values=tuple(math.radians(3.0 * k) for k in range(1, 61)),
+                     n_values=(3000,), d_values=(1000.0, 2000.0, 3000.0), trials=7)
+    results = run_sweep(spec, workers=2)
+    assert len(results) == 180 and all(r.trials == 7 for r in results)
+    assert all(len(configs) < 180 for configs, _, _ in pool.units)
+    seen = {}
+    for configs, first, stop in pool.units:
+        assert len(configs) * (stop - first) * 3001 <= experiments.BATCH_ROWS
+        for cfg in configs:
+            seen.setdefault((cfg.theta, cfg.sd_distance), []).extend(range(first, stop))
+    assert len(seen) == 180 and all(trials == list(range(7)) for trials in seen.values())
