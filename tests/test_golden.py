@@ -20,8 +20,8 @@ SMALL = ["--set", "square_side=1500", "--set", "n_nodes=100", "--set", "radius=2
          "--set", "d=600", "--seed", "11"]
 GRID = ["--set", "sweep.theta_deg=45, 90, 135", "--set", "sweep.n_nodes=100, 200",
         "--set", "sweep.d=600"]
-# theta x N x d with a 360 deg beam and one d <= r: every trial's field is
-# shared by the six (theta, d) cells of its N
+# 2 theta (one 360 deg) x 2 N x 3 d (one <= r): each trial's field serves
+# the six (theta, d) cells of its N
 SHARED = ["--set", "sweep.n_nodes=100, 200"]
 
 # name -> (argv without --out, sha256 of the written file)
