@@ -11,6 +11,7 @@ may round a transcendental differently and change the last digit of a float.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,7 @@ GRID = ["--set", "sweep.theta_deg=45, 90, 135", "--set", "sweep.n_nodes=100, 200
 # 2 theta (one 360 deg) x 2 N x 3 d (one <= r): each trial's field serves
 # the six (theta, d) cells of its N
 SHARED = ["--set", "sweep.n_nodes=100, 200"]
+SAMPLE_CFG = str(Path(__file__).resolve().parent.parent / "sample.cfg")
 
 # name -> (argv without --out, sha256 of the written file)
 GOLDEN = {
@@ -42,6 +44,10 @@ GOLDEN = {
          "--set", "sweep.d=200, 600, 1200", "--set", "sweep.trials=6",
          "--set", "placement=poisson", "--set", "direction_error_deg=10", "--workers", "2"],
         "de9cc06be3dfa5a00bb4b194213e8c3d0ffeaad3f70afe71633174cf53c28199"),
+    # benchmark scale: N 1000-3000 in a 4000 m field, theta up to 135 deg,
+    # d 1000-3000, where index cells and query boxes matter
+    "sweep-sample-cfg.csv": (["sweep", "--config", SAMPLE_CFG, "--set", "sweep.trials=50"],
+                             "54f0a78cb838df98e26759dc0674ab4385fb062d60e6b0b6c28eb4ba59f68893"),
     "compare.csv": (["compare", *SMALL, "--set", "sweep.theta_deg=60, 120",
                      "--set", "sweep.n_nodes=80", "--set", "sweep.trials=5"],
                     "cc91a95b8d28e0539f506930f3d0ada149160ebebd21fc80d0389736b0c389f3"),
