@@ -8,8 +8,9 @@ the flood runs until no transmitters remain, whether or not the destination
 was reached earlier.
 
 propagate_batch floods many scenarios together: each round tests every
-(transmitter, candidate) pair of every flood in a few numpy passes.  The
-spatial index holds nodes only, one group per distinct nodes array, so the
+(transmitter, candidate) pair of every flood in a few numpy passes, where a
+transmitter's candidates are the index's nodes in its sector's bounding
+box.  The index holds nodes only, one group per distinct nodes array, so the
 floods of a sweep trial that differ only in theta and d share one group;
 each flood keeps its own covered slots, and each transmitter tests its own
 destination as one extra point.  propagate is the one-flood call.
@@ -31,7 +32,10 @@ from .scenario import Scenario
 SOURCE_ID = -1
 
 ROUND_CHUNK = 1 << 14   # (transmitter, candidate) pairs per numpy pass; bounds a round's memory
-_MAX_COLUMNS = 1 << 20  # with under 2**21 rows, (group, column, y-rank) keys fit int64
+# radians added to each half-angle before taking a sector's bounding box:
+# the exact test accepts points up to about 2e-8 rad outside the sector
+BOX_SLACK = 1e-6
+_TOWARD = np.array([[-1.0], [-1.0], [1.0], [1.0]])  # signs of the -x, -y, +x, +y box sides
 
 
 @dataclass(frozen=True)
@@ -53,58 +57,60 @@ class BroadcastOutcome:
 
 
 class GridIndex:
-    """Points sorted by (group, x-column, y): a disc query is <= 4 y-ranges.
+    """Points sorted by (group, column, row) of square cells, with a start table.
 
-    Columns start at the points' smallest x and are radius wide (wider when
-    the x-extent would need more than 2**20 of them), so the strip
-    |px - x| <= radius meets at most 4 columns of a group, and the points of
-    one column with |py - y| <= radius are one run of the sorted order.  The
-    runs are a superset of the disc, so the exact test in sector_hits
-    decides every hit; they are padded by a relative margin so that rounding
-    in x +- radius cannot drop a point that test accepts.
+    Cells are a third of the radius wide (wider when a group's extent would
+    need more than 4 * points / groups of them, so the table stays
+    O(points + groups) for any radius) from the points' smallest x and y.
+    start[k] is the position of cell k's first point in the sorted order, so
+    the points of one column in a range of rows are one run, found by two
+    lookups.  A query box meets one run per column; the runs are a superset
+    of the box, padded by a relative margin so that rounding in the box
+    corners cannot drop a point the exact test in sector_hits accepts.
     """
 
     def __init__(self, points: np.ndarray, radius: float, groups: np.ndarray):
         self.points = np.asarray(points, dtype=float).reshape(-1, 2)
         self.radius = radius
         n = len(self.points)
-        xs, ys = self.points[:, 0], self.points[:, 1]
-        self.groups = np.asarray(groups, np.int64)
-        self._x0 = float(xs.min()) if n else 0.0
-        self._abs_max = float(np.abs(self.points).max(initial=0.0))
-        self._width = max(radius, (float(xs.max()) - self._x0) / _MAX_COLUMNS if n else 0.0)
-        cols = ((xs - self._x0) / self._width).astype(np.int64)
-        self._ncols = int(cols.max()) + 1 if n else 1
-        by_y = np.argsort(ys)
-        self._ys = ys[by_y]
-        # (bucket, y-rank) keys are unique, so their order is the index's order
-        self._stride = n + 1
-        keys = (self.groups * self._ncols + cols)[by_y] * self._stride + np.arange(n)
-        rank = np.argsort(keys)
-        self._keys = keys[rank]
-        self.order = by_y[rank]
-        self.sorted_x = xs[self.order]
-        self.sorted_y = ys[self.order]
+        xy = np.ascontiguousarray(self.points.T)  # fast reductions along each coordinate
+        groups = np.asarray(groups, np.int64)
+        self._ngroups = int(groups.max(initial=-1)) + 1
+        self._abs_max = float(np.abs(xy).max(initial=0.0))
+        origin = xy.min(axis=1, keepdims=True) if n else np.zeros((2, 1))
+        extent = float((xy.max(axis=1, keepdims=True) - origin).max()) if n else 0.0
+        self._cell = max(radius / 3.0, extent / math.sqrt(4.0 * n / self._ngroups) if n else 0.0)
+        cells = ((xy - origin) / self._cell).astype(np.int64)
+        self._ncols, self._nrows = (cells.max(axis=1, initial=0) + 1).tolist()
+        ids = (groups * self._ncols + cells[0]) * self._nrows + cells[1]
+        self.order = np.argsort(ids)
+        size = self._ngroups * self._ncols * self._nrows
+        self.start = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=size))))
+        self.sorted_x = xy[0, self.order]
+        self.sorted_y = xy[1, self.order]
+        # query boxes are (4, queries) rows: low x, low y, high x, high y
+        self._origin = np.tile(origin, (2, 1))
+        self._clip = np.array([[0, 0, -1, -1], [self._ncols, self._nrows, self._ncols - 1,
+                                                self._nrows - 1]])[..., None]
 
-    def ranges(self, xs: np.ndarray, ys: np.ndarray,
+    def ranges(self, xs: np.ndarray, ys: np.ndarray, reach: np.ndarray,
                groups: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(query, lo, hi): runs [lo, hi) of the sorted order, at most 4 per
-        query, holding every point of the query's group within radius of it."""
-        r = self.radius
+        """(query, lo, hi): runs [lo, hi) of the sorted order, one per cell
+        column a query's box meets, holding every point of the query's group
+        in the box.  Query i's box reaches reach[:, i] radii from (xs[i],
+        ys[i]) toward -x, -y, +x and +y."""
+        apex = np.array((xs, ys, xs, ys))
         # one margin for the call, scaled by the largest coordinate in play
-        pad = r + 1e-9 * (max(self._abs_max, np.abs(xs).max(initial=0.0),
-                              np.abs(ys).max(initial=0.0)) + r)
-        first = np.floor((xs - pad - self._x0) / self._width).clip(0.0, self._ncols)
-        last = np.minimum(np.floor((xs + pad - self._x0) / self._width), self._ncols - 1.0)
-        spans = np.maximum(last - first + 1.0, 0.0).astype(np.int64)  # columns per query
-        query = np.repeat(np.arange(len(xs)), spans)
-        col = np.repeat(first.astype(np.int64) - np.cumsum(spans) + spans, spans)
-        col += np.arange(len(query))
-        y_lo = np.searchsorted(self._ys, ys - pad, side="left")[query]
-        y_hi = np.searchsorted(self._ys, ys + pad, side="right")[query]
-        base = (groups[query] * self._ncols + col) * self._stride
-        bounds = np.searchsorted(self._keys, np.concatenate((base + y_lo, base + y_hi)))
-        return query, bounds[:len(query)], bounds[len(query):]
+        pad = 1e-9 * (max(self._abs_max, np.abs(apex).max(initial=0.0)) + self.radius)
+        reach = (self.radius * reach + pad) * _TOWARD
+        cells = np.floor((apex + reach - self._origin) / self._cell)
+        cells = cells.clip(*self._clip).astype(np.int64)
+        cols, rows = np.maximum(cells[2:] - cells[:2] + 1, 0)
+        spans = cols * ((rows > 0) & (groups < self._ngroups))
+        query = np.repeat(np.arange(len(groups)), spans)
+        col = np.repeat(cells[0] - np.cumsum(spans) + spans, spans) + np.arange(len(query))
+        base = (groups[query] * self._ncols + col) * self._nrows
+        return query, self.start[base + cells[1, query]], self.start[base + cells[3, query] + 1]
 
     def candidates(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Positions in the sorted order of every point in the runs [lo, hi)."""
@@ -130,15 +136,22 @@ def _in_sectors(dx: np.ndarray, dy: np.ndarray, ux: np.ndarray, uy: np.ndarray, 
 
 def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray,
                 uy: np.ndarray, groups: np.ndarray, cos_half: np.ndarray | float,
-                full: np.ndarray | bool):
+                full: np.ndarray | bool, wide: np.ndarray):
     """Yield (query, point id) hit pairs, one chunk of about ROUND_CHUNK
     candidate pairs at a time, for sectors of the index's radius at apexes
     (xs, ys) pointing along unit vectors (ux, uy); same arithmetic as the
     scalar in_sector oracle in tests/oracles.py.  cos_half (cos of the
     half-angle) and full (a 360-degree sector) are per-query arrays, or
-    scalars when every query has the same half-angle.
+    scalars when every query has the same half-angle.  wide holds cos and
+    sin of the half-angle plus BOX_SLACK, capped at pi, in the same form:
+    the index is queried over the bounding box of that wider sector.
     """
-    query, lo, hi = index.ranges(xs, ys, groups)
+    # reach in radii toward -x, -y, +x and +y: the apex, both arc ends, and
+    # each cardinal extreme within the half-angle
+    c, s = wide
+    u = np.array((-ux, -uy, ux, uy))
+    reach = np.where(u >= c, 1.0, np.maximum(u * c + np.abs(u[::-1]) * s, 0.0))
+    query, lo, hi = index.ranges(xs, ys, reach, groups)
     ends = np.cumsum(hi - lo)
     cuts = []
     if len(ends) and ends[-1] > ROUND_CHUNK:
@@ -268,6 +281,8 @@ def propagate_batch(scenarios: Sequence[Scenario],
     halves = np.array([s.config.theta / 2.0 for s in scenarios])
     cos_half = np.array([math.cos(h) for h in halves.tolist()])
     full = halves >= math.pi
+    box_half = np.minimum(halves + BOX_SLACK, math.pi)
+    wide = np.array((np.cos(box_half), np.sin(box_half)))
     one_beam = bool((halves == halves[0]).all())  # then sector_hits takes scalars
     dest_x = np.array([s.destination.x for s in scenarios])
     dest_y = np.array([s.destination.y for s in scenarios])
@@ -285,8 +300,8 @@ def propagate_batch(scenarios: Sequence[Scenario],
         per_round.append(np.bincount(tx_flood, minlength=n_floods))
         to_x, to_y = dest_x[tx_flood], dest_y[tx_flood]
         ux, uy = aim_vectors(tx_x, tx_y, to_x, to_y, tx_delta)
-        tx_cos, tx_full = ((cos_half[0], full[0]) if one_beam
-                           else (cos_half[tx_flood], full[tx_flood]))
+        tx_cos, tx_full, tx_wide = ((cos_half[0], full[0], wide[:, 0]) if one_beam
+                                    else (cos_half[tx_flood], full[tx_flood], wide[:, tx_flood]))
         # each transmitter tests its own destination as one extra point
         hit = tx_flood[_in_sectors(to_x - tx_x, to_y - tx_y, ux, uy, r2, tx_cos, tx_full)]
         hit = hit[~reached[hit]]
@@ -295,7 +310,7 @@ def propagate_batch(scenarios: Sequence[Scenario],
         fresh = []
         tx_shift = shift[tx_flood]
         for owner, rows in sector_hits(index, tx_x, tx_y, ux, uy, field_of[tx_flood],
-                                       tx_cos, tx_full):
+                                       tx_cos, tx_full, tx_wide):
             slots = rows + tx_shift[owner]
             slots = slots[~covered[slots]]
             covered[slots] = True

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from sectorcast.engine import (
+    BOX_SLACK,
     SOURCE_ID,
     GridIndex,
     aim_vectors,
@@ -258,6 +259,34 @@ def test_matches_brute_force_on_small_scenarios():
         outcome_matches_oracle(random_scenario(rng), seed=k)
 
 
+def test_batch_matches_brute_force_at_box_switch_points():
+    # theta where a sector's bounding box changes shape (a ray, a quarter
+    # disc, a half disc, three quarters, a disc less 0.1 deg, the whole
+    # disc), aim errors 0 and pi, floods of mixed theta and d batched over
+    # shared fields
+    thetas_deg = (math.degrees(1e-6), 90.0, 180.0, 270.0, 359.9, 360.0)
+    base = ScenarioConfig(square_side=800.0, radius=220.0, sd_distance=120.0)
+    delivered = set()
+    for eps in (0.0, math.pi):
+        for placement in (Placement.FIXED_COUNT, Placement.POISSON_COUNT):
+            scenarios = []
+            for seed in (5, 6):
+                cfg = replace(base, n_nodes=40, seed=seed, placement=placement,
+                              direction_error_bound=eps)
+                scenarios += shared_field(cfg, thetas_deg, (120.0, 500.0))
+            batch = propagate_batch(scenarios)
+            for b, scenario in enumerate(scenarios):
+                aim = np.random.default_rng(np.random.SeedSequence((scenario.config.seed, 1)))
+                want = brute_force_flood(scenario, aim)
+                got = batch.outcome(b)
+                assert (got.success, got.first_delivery_hop, got.implicated, got.covered,
+                        got.rounds, got.per_round_transmitters) == (
+                    want["success"], want["first_delivery_hop"], want["implicated"],
+                    want["covered"], want["rounds"], want["per_round_transmitters"]), (eps, b)
+                delivered.add(got.success)
+    assert delivered == {True, False}
+
+
 def scan(pts, s, members=None):
     return {i for i, (x, y) in enumerate(pts)
             if (members is None or i in members) and in_sector(Point2D(x, y), s)}
@@ -273,8 +302,10 @@ def batched_hits(index, apexes, axes, half_angle, groups=None):
     groups = np.zeros(len(xs), np.int64) if groups is None else np.asarray(groups)
     cos_half = np.full(len(xs), math.cos(half_angle))
     full = np.full(len(xs), half_angle >= math.pi)
+    box_half = min(half_angle + BOX_SLACK, math.pi)
+    wide = np.array([np.full(len(xs), math.cos(box_half)), np.full(len(xs), math.sin(box_half))])
     found = [set() for _ in apexes]
-    for owner, ids in sector_hits(index, xs, ys, ux, uy, groups, cos_half, full):
+    for owner, ids in sector_hits(index, xs, ys, ux, uy, groups, cos_half, full, wide):
         for o, i in zip(owner.tolist(), ids.tolist()):
             found[o].add(i)
     return found
@@ -333,18 +364,68 @@ def test_grid_index_boundary_points_match_linear_scan():
 
 
 def test_grid_index_column_boundaries_match_linear_scan():
-    # columns are radius wide from the smallest x: points and apexes sit on
-    # column edges k * r, one ulp either side of them, and mid-column
+    # cells are r/3 wide from the smallest x and y: points and apexes sit
+    # on column and row edges k * r/3, one ulp either side of them, and
+    # mid-cell
     r = 125.0
-    edges = np.arange(-1, 10) * r
-    xs = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-                         edges + r / 2))
-    xs = xs[xs >= 0.0]
-    ys = np.array([0.0, r, 2.5 * r, 3 * r, np.nextafter(3 * r, 0.0)])
-    pts = np.array([(x, y) for x in xs for y in ys])
-    apexes = [(x, y) for x in xs[::3] for y in (r, 3 * r, 1.5 * r)]
+    edges = np.arange(-1, 10) * (r / 3.0)
+    coords = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                             edges + r / 6.0))
+    coords = coords[coords >= 0.0]
+    pts = np.array([(x, y) for x in coords for y in coords])
+    assert GridIndex(pts, r, np.zeros(len(pts), np.int64))._cell == r / 3.0
+    apexes = [(x, y) for x in coords[::7] for y in coords[::7]]
     for axis, half in ((0.0, math.pi), (0.0, math.pi / 2), (math.pi, 0.3), (1.0, 2.0)):
         check_against_scan(pts, r, apexes, [axis] * len(apexes), half)
+
+
+def test_sector_box_edges_match_linear_scan():
+    # the index is queried over each sector's bounding box: points on both
+    # edge rays at distance r, on the arc's cardinal extremes, and one ulp
+    # either side of them, at half-angles where the box changes shape and
+    # axes on (and one ulp off) the cardinal directions
+    r = 200.0
+    axes = []
+    for a in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2):
+        axes += [a, math.nextafter(a or TWO_PI, 0.0), math.nextafter(a, 7.0)]
+    halves = (1e-9, math.pi / 4, math.pi / 2 - 1e-12, math.pi / 2 + 1e-12, math.pi - 1e-9,
+              math.pi)
+    extremes = [(r, 0.0), (0.0, r), (-r, 0.0), (0.0, -r)]
+    for ax, ay in ((1000.3, 777.7), (0.0, 0.0), (-3e5, 2e5)):
+        for axis in axes:
+            for half in halves:
+                # the exact test accepts points up to ~2e-8 rad past a
+                # narrow sector's edge rays
+                ends = [(r * math.cos(axis + sign * (half + off)),
+                         r * math.sin(axis + sign * (half + off)))
+                        for sign in (-1.0, 1.0) for off in (0.0, 1e-8)]
+                base = [(ax + dx, ay + dy) for dx, dy in ends + extremes]
+                pts = [(x, y) for px, py in base
+                       for x, y in ((px, py), (math.nextafter(px, -np.inf), py),
+                                    (math.nextafter(px, np.inf), py),
+                                    (px, math.nextafter(py, -np.inf)),
+                                    (px, math.nextafter(py, np.inf)))]
+                # a lowest point that puts a column and a row edge 1e-6 m
+                # to either side of the apex, between a narrow sector's
+                # edge and the points just past it
+                for shift in (-1e-6, 1e-6):
+                    anchor = (ax + shift - 4 * r / 3, ay + shift - 4 * r / 3)
+                    check_against_scan(np.array([anchor, *pts]), r, [(ax, ay)], [axis], half)
+
+
+def test_grid_index_table_stays_linear_in_points_and_groups():
+    # r/3 cells over a 2000 m field at r = 1e-3 would number ~3.6e13; cells
+    # widen so that the start table stays O(points + groups), also when
+    # most groups are empty
+    rng = np.random.default_rng(13)
+    n, r = 10_000, 1e-3
+    pts = rng.uniform(0, 2000, size=(n, 2))
+    apexes = [tuple(p) for p in pts[:6] + (4e-4, 3e-4)]  # 5e-4 from a point
+    for groups in (np.zeros(n, np.int64), np.where(rng.random(n) < 0.5, 0, 1001)):
+        index = GridIndex(pts, r, groups)
+        assert len(index.start) <= 6 * (n + int(groups.max()) + 1) + 1
+        found = batched_hits(index, apexes, [0.0] * 6, math.pi, groups[:6])
+        assert found == [{k} for k in range(6)]
 
 
 def test_full_field_sector_returns_everything_but_apex():
