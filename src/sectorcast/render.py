@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .engine import SOURCE_ID, BroadcastOutcome
 from .leafmodel import chain_vertices
 from .scenario import Scenario
@@ -76,18 +78,18 @@ def render_svg(scenario: Scenario, outcome: BroadcastOutcome) -> str:
                  f'fill="white" stroke="#333333" stroke-width="1.5"/>')
     parts.append("</g>")
 
-    implicated_nodes = {i for i in outcome.implicated if i != SOURCE_ID}
-    parts.append('<g id="nodes">')
-    for i, (x, y) in enumerate(scenario.nodes):
-        if i not in implicated_nodes:
-            parts.append(_circle(m, x, y, 1.5, "#b8b8b8"))
-    parts.append("</g>")
-
-    parts.append('<g id="implicated">')
-    for i in sorted(implicated_nodes):
-        x, y = scenario.nodes[i]
-        parts.append(_circle(m, x, y, 2.5, "#d9534f"))
-    parts.append("</g>")
+    # node dots in bulk: _Mapper.xy's arithmetic in one numpy pass
+    nodes = np.asarray(scenario.nodes, dtype=float).reshape(-1, 2)
+    px = (_MARGIN + nodes[:, 0] * m.scale).tolist()
+    py = (_MARGIN + (m.side - nodes[:, 1]) * m.scale).tolist()
+    relays = sorted(i for i in outcome.implicated if i != SOURCE_ID)
+    dark = np.ones(len(px), dtype=bool)
+    dark[relays] = False
+    for layer, ids, dot in (("nodes", np.flatnonzero(dark).tolist(), 'r="1.50" fill="#b8b8b8"'),
+                            ("implicated", relays, 'r="2.50" fill="#d9534f"')):
+        parts.append(f'<g id="{layer}">')
+        parts.extend(f'<circle cx="{px[i]:.2f}" cy="{py[i]:.2f}" {dot}/>' for i in ids)
+        parts.append("</g>")
 
     parts.append('<g id="chain">')
     outline = _leaf_polygon(scenario)

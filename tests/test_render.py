@@ -59,3 +59,25 @@ def test_fixed_format_keeps_bytes_stable():
     _, b = render_for(seed=5)
     assert a == b
     assert not re.search(r"\d\.\d{3,}", a)  # two-decimal formatting throughout
+
+
+def test_node_dots_match_scalar_mapping():
+    # the node layers map all coordinates in one numpy pass; every dot must
+    # print as the scalar per-node mapping prints it, in the same order
+    for seed, n in ((3, 400), (4, 1), (5, 0)):
+        scenario, svg = render_for(n_nodes=n, seed=seed, theta=math.radians(150.0))
+        relays = propagate(scenario).implicated - {-1}
+        scale = 800.0 / 2000.0
+
+        def dot(i, r_px, fill):
+            x, y = (float(v) for v in scenario.nodes[i])
+            return (f'<circle cx="{40.0 + x * scale:.2f}" cy="{40.0 + (2000.0 - y) * scale:.2f}" '
+                    f'r="{r_px}" fill="{fill}"/>')
+
+        want = ['<g id="nodes">', *(dot(i, "1.50", "#b8b8b8") for i in range(n) if i not in relays),
+                "</g>", '<g id="implicated">', *(dot(i, "2.50", "#d9534f") for i in sorted(relays)),
+                "</g>"]
+        lines = svg.splitlines()
+        start = lines.index('<g id="nodes">')
+        assert lines[start:start + len(want)] == want
+        assert n < 400 or relays  # the 400-node scene draws both layers
