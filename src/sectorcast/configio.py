@@ -3,12 +3,18 @@
 The config format is flat ``key = value`` text with an optional ``[sweep]``
 section holding comma-separated value lists; '#' starts a comment.  CLI
 overrides use the same key names (sweep keys prefixed ``sweep.``) and
-unknown keys are rejected, never ignored.  Angles are degrees in files and
-on the command line, radians everywhere inside.
+unknown keys are rejected, never ignored.
+
+Every key is named once: _BASE maps a base key to its ScenarioConfig field
+and type, in echo order, and _SWEEP maps a [sweep] key to its SweepSpec
+field (a list of the base key's values, or the trial count).  Parsing,
+overrides, record and echo all read these tables.  ``*_deg`` keys are
+degrees outside and radians inside; _from_file and _to_file convert.
 
 CSV columns are fixed; floats are written with shortest-round-trip repr so
 parsed rows reproduce results bit-exactly, absent model fields are empty,
-and the effective configuration is echoed as '#' comment lines.
+mean_hops_success is nan when no trial delivered, and the effective
+configuration is echoed as '#' comment lines.
 """
 
 from __future__ import annotations
@@ -16,14 +22,10 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from dataclasses import astuple
 
 from .scenario import ConfigError, Placement, ScenarioConfig
 from .experiments import CellResult, SweepSpec
-
-_BASE_FLOAT_KEYS = ("square_side", "radius", "theta_deg", "d", "direction_error_deg")
-_BASE_INT_KEYS = ("n_nodes", "seed")
-BASE_KEYS = _BASE_FLOAT_KEYS + _BASE_INT_KEYS + ("placement",)
-SWEEP_KEYS = ("theta_deg", "n_nodes", "d", "trials")
 
 CSV_COLUMNS = (
     "theta_deg", "n_nodes", "d_m", "r_m", "square_side_m", "trials",
@@ -32,12 +34,43 @@ CSV_COLUMNS = (
     "model_ratio", "model_relative_error",
 )
 
+# base key -> (ScenarioConfig field, value type), in echo order
+_BASE = {
+    "square_side": ("square_side", float),
+    "n_nodes": ("n_nodes", int),
+    "radius": ("radius", float),
+    "theta_deg": ("theta", float),
+    "d": ("sd_distance", float),
+    "seed": ("seed", int),
+    "placement": ("placement", Placement),
+    "direction_error_deg": ("direction_error_bound", float),
+}
+# [sweep] key -> SweepSpec field
+_SWEEP = {"theta_deg": "theta_values", "n_nodes": "n_values", "d": "d_values", "trials": "trials"}
+
+
+def _from_file(key: str, text: str, kind):
+    """One config-file value in library units (degrees become radians)."""
+    try:
+        value = kind(text.lower())  # float and int syntax is case-blind too
+    except ValueError as exc:
+        what = "expected 'fixed' or 'poisson', got" if kind is Placement else "cannot parse"
+        raise ConfigError(f"field {key}: {what} {text!r}") from exc
+    return math.radians(value) if key.endswith("_deg") else value
+
+
+def _to_file(key: str, value):
+    """One library value in config-file units (radians become degrees)."""
+    if key.endswith("_deg"):
+        return math.degrees(value)
+    return value.value if isinstance(value, Placement) else value
+
 
 def parse_config_text(text: str, source: str = "<config>") -> tuple[dict, dict]:
     """Split config text into raw (base, sweep) key -> string dicts."""
     base: dict[str, str] = {}
     sweep: dict[str, str] = {}
-    section = None
+    into, table, what = base, _BASE, "key"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -46,19 +79,14 @@ def parse_config_text(text: str, source: str = "<config>") -> tuple[dict, dict]:
             name = line[1:-1].strip().lower()
             if name != "sweep":
                 raise ConfigError(f"{source}:{lineno}: unknown section [{name}]")
-            section = "sweep"
+            into, table, what = sweep, _SWEEP, "sweep key"
             continue
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if section == "sweep":
-            if key not in SWEEP_KEYS:
-                raise ConfigError(f"{source}:{lineno}: unknown sweep key {key!r}")
-            sweep[key] = value
-        else:
-            if key not in BASE_KEYS:
-                raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
-            base[key] = value
+        if key not in table:
+            raise ConfigError(f"{source}:{lineno}: unknown {what} {key!r}")
+        into[key] = value
     return base, sweep
 
 
@@ -68,97 +96,48 @@ def apply_overrides(base: dict, sweep: dict, overrides: list[str]) -> None:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not of the form key=value")
         key, value = (part.strip() for part in item.split("=", 1))
-        if key.startswith("sweep."):
-            skey = key[len("sweep."):]
-            if skey not in SWEEP_KEYS:
-                raise ConfigError(f"unknown sweep override key {skey!r}")
-            sweep[skey] = value
-        elif key in BASE_KEYS:
-            base[key] = value
-        else:
-            raise ConfigError(f"unknown override key {key!r}")
-
-
-def _parse_number(key: str, value: str, kind):
-    try:
-        return kind(value)
-    except ValueError as exc:
-        raise ConfigError(f"field {key}: cannot parse {value!r}") from exc
-
-
-def _parse_list(key: str, value: str, kind) -> tuple:
-    items = [v.strip() for v in value.split(",") if v.strip()]
-    if not items:
-        raise ConfigError(f"field {key}: empty list")
-    return tuple(_parse_number(key, v, kind) for v in items)
+        in_sweep = key.startswith("sweep.")
+        key = key.removeprefix("sweep.")
+        if key not in (_SWEEP if in_sweep else _BASE):
+            raise ConfigError(f"unknown {'sweep ' if in_sweep else ''}override key {key!r}")
+        (sweep if in_sweep else base)[key] = value
 
 
 def to_scenario_config(base: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from raw strings (degrees -> radians)."""
-    kwargs = {}
-    for key in _BASE_FLOAT_KEYS:
-        if key in base:
-            kwargs[key] = _parse_number(key, base[key], float)
-    for key in _BASE_INT_KEYS:
-        if key in base:
-            kwargs[key] = _parse_number(key, base[key], int)
-    if "placement" in base:
-        value = base["placement"].lower()
-        try:
-            kwargs["placement"] = Placement(value)
-        except ValueError:
-            raise ConfigError(
-                f"field placement: expected 'fixed' or 'poisson', got {base['placement']!r}"
-            ) from None
-    if "theta_deg" in kwargs:
-        kwargs["theta"] = math.radians(kwargs.pop("theta_deg"))
-    if "direction_error_deg" in kwargs:
-        kwargs["direction_error_bound"] = math.radians(kwargs.pop("direction_error_deg"))
-    if "d" in kwargs:
-        kwargs["sd_distance"] = kwargs.pop("d")
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**{field: _from_file(key, base[key], kind)
+                             for key, (field, kind) in _BASE.items() if key in base})
 
 
 def to_sweep_spec(config: ScenarioConfig, sweep: dict) -> SweepSpec:
     """Build a SweepSpec around config; unset lists fall back to the defaults."""
     kwargs: dict = {"base": config}
-    if "theta_deg" in sweep:
-        degs = _parse_list("theta_deg", sweep["theta_deg"], float)
-        kwargs["theta_values"] = tuple(math.radians(t) for t in degs)
-    if "n_nodes" in sweep:
-        kwargs["n_values"] = _parse_list("n_nodes", sweep["n_nodes"], int)
-    if "d" in sweep:
-        kwargs["d_values"] = _parse_list("d", sweep["d"], float)
-    if "trials" in sweep:
-        kwargs["trials"] = _parse_number("trials", sweep["trials"], int)
+    for key, field in _SWEEP.items():
+        if key not in _BASE and key in sweep:  # trials, one integer
+            kwargs[field] = _from_file(key, sweep[key], int)
+        elif key in sweep:
+            items = [v.strip() for v in sweep[key].split(",") if v.strip()]
+            if not items:
+                raise ConfigError(f"field {key}: empty list")
+            kwargs[field] = tuple(_from_file(key, v, _BASE[key][1]) for v in items)
     return SweepSpec(**kwargs)
 
 
 def config_record(config: ScenarioConfig) -> dict:
     """Effective base configuration under its config-file keys (degrees)."""
-    return {
-        "square_side": config.square_side,
-        "n_nodes": config.n_nodes,
-        "radius": config.radius,
-        "theta_deg": math.degrees(config.theta),
-        "d": config.sd_distance,
-        "seed": config.seed,
-        "placement": config.placement.value,
-        "direction_error_deg": math.degrees(config.direction_error_bound),
-    }
+    return {key: _to_file(key, getattr(config, field)) for key, (field, _) in _BASE.items()}
 
 
 def config_echo_lines(config: ScenarioConfig, spec: SweepSpec | None = None) -> list[str]:
     """Effective configuration as '#' comment lines for output-file headers."""
     lines = [f"# {k} = {v}" for k, v in config_record(config).items()]
     if spec is not None:
-        lines += [
-            "# [sweep]",
-            f"# theta_deg = {', '.join(repr(math.degrees(t)) for t in spec.theta_values)}",
-            f"# n_nodes = {', '.join(str(n) for n in spec.n_values)}",
-            f"# d = {', '.join(repr(d) for d in spec.d_values)}",
-            f"# trials = {spec.trials}",
-        ]
+        lines.append("# [sweep]")
+        for key, field in _SWEEP.items():
+            value = getattr(spec, field)
+            if key in _BASE:
+                value = ", ".join(str(_to_file(key, v)) for v in value)
+            lines.append(f"# {key} = {value}")
     return lines
 
 
@@ -171,23 +150,9 @@ def _fmt(value) -> str:
 
 
 def result_row(result: CellResult, config: ScenarioConfig) -> str:
-    fields = (
-        _fmt(math.degrees(result.theta)),
-        str(result.n_nodes),
-        _fmt(result.sd_distance),
-        _fmt(config.radius),
-        _fmt(config.square_side),
-        str(result.trials),
-        _fmt(result.success_rate),
-        _fmt(result.success_ci_halfwidth),
-        _fmt(result.implicated_ratio_mean),
-        _fmt(result.implicated_ratio_std),
-        _fmt(result.bandwidth_gain),
-        _fmt(result.mean_hops_on_success),
-        _fmt(result.model_ratio),
-        _fmt(result.model_relative_error),
-    )
-    return ",".join(fields)
+    theta, n_nodes, d, trials, *metrics = astuple(result)
+    return ",".join(map(_fmt, (math.degrees(theta), n_nodes, d, config.radius,
+                               config.square_side, trials, *metrics)))
 
 
 def results_csv_text(results: list[CellResult], config: ScenarioConfig,

@@ -35,6 +35,9 @@ ROUND_CHUNK = 1 << 14   # (transmitter, candidate) pairs per numpy pass; bounds 
 # radians added to each half-angle before taking a sector's bounding box:
 # the exact test accepts points up to about 2e-8 rad outside the sector
 BOX_SLACK = 1e-6
+# cos_half of a 360-degree sector: below any dot / |d| ratio, so every
+# point within range passes the angular test
+FULL_CIRCLE = -2.0
 _TOWARD = np.array([[-1.0], [-1.0], [1.0], [1.0]])  # signs of the -x, -y, +x, +y box sides
 
 
@@ -120,29 +123,24 @@ class GridIndex:
 
 
 def _in_sectors(dx: np.ndarray, dy: np.ndarray, ux: np.ndarray, uy: np.ndarray, r2: float,
-                cos_half: np.ndarray | float, full: np.ndarray | bool) -> np.ndarray:
+                cos_half: np.ndarray | float) -> np.ndarray:
     """The in_sector oracle's test, elementwise, for points at (dx, dy) from
-    their apexes: 0 < q <= r2 and, unless full (a 360-degree sector), the
-    dot product with the axis is at least sqrt(q) * cos(half-angle).
-    cos_half and full are per-point arrays or scalars."""
+    their apexes: 0 < q <= r2 and the dot product with the axis is at least
+    sqrt(q) * cos_half, the cosine of the half-angle (FULL_CIRCLE for a
+    360-degree sector).  cos_half is a per-point array or a scalar."""
     q = dx * dx + dy * dy
-    ok = (q > 0.0) & (q <= r2)
-    if np.ndim(full):
-        ok &= full | (dx * ux + dy * uy >= np.sqrt(q) * cos_half)
-    elif not full:
-        ok &= dx * ux + dy * uy >= np.sqrt(q) * cos_half
-    return ok
+    return (q > 0.0) & (q <= r2) & (dx * ux + dy * uy >= np.sqrt(q) * cos_half)
 
 
 def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray,
                 uy: np.ndarray, groups: np.ndarray, cos_half: np.ndarray | float,
-                full: np.ndarray | bool, wide: np.ndarray):
+                wide: np.ndarray):
     """Yield (query, point id) hit pairs, one chunk of about ROUND_CHUNK
     candidate pairs at a time, for sectors of the index's radius at apexes
     (xs, ys) pointing along unit vectors (ux, uy); same arithmetic as the
     scalar in_sector oracle in tests/oracles.py.  cos_half (cos of the
-    half-angle) and full (a 360-degree sector) are per-query arrays, or
-    scalars when every query has the same half-angle.  wide holds cos and
+    half-angle, FULL_CIRCLE for a 360-degree sector) is a per-query array,
+    or a scalar when every query has the same half-angle.  wide holds cos and
     sin of the half-angle plus BOX_SLACK, capped at pi, in the same form:
     the index is queried over the bounding box of that wider sector.
     """
@@ -161,9 +159,9 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray
     for a, b in zip((0, *cuts), (*cuts, len(lo))):
         pos = index.candidates(lo[a:b], hi[a:b])
         owner = np.repeat(query[a:b], hi[a:b] - lo[a:b])
-        c, f = (cos_half[owner], full[owner]) if np.ndim(cos_half) else (cos_half, full)
+        c = cos_half[owner] if np.ndim(cos_half) else cos_half
         ok = _in_sectors(index.sorted_x[pos] - xs[owner], index.sorted_y[pos] - ys[owner],
-                         ux[owner], uy[owner], r2, c, f)
+                         ux[owner], uy[owner], r2, c)
         yield owner[ok], index.order[pos[ok]]
 
 
@@ -211,8 +209,7 @@ class BatchOutcome:
     @property
     def implicated(self) -> np.ndarray:
         """Transmitters per flood, the source included."""
-        total = np.concatenate(([0], np.cumsum(self.covered)))
-        return total[self.offsets[1:]] - total[self.offsets[:-1]] + 1
+        return self.per_round.sum(axis=0)
 
     def outcome(self, b: int) -> BroadcastOutcome:
         lo, hi = int(self.offsets[b]), int(self.offsets[b + 1])
@@ -279,8 +276,7 @@ def propagate_batch(scenarios: Sequence[Scenario],
 
     r2 = cfg.radius * cfg.radius
     halves = np.array([s.config.theta / 2.0 for s in scenarios])
-    cos_half = np.array([math.cos(h) for h in halves.tolist()])
-    full = halves >= math.pi
+    cos_half = np.array([FULL_CIRCLE if h >= math.pi else math.cos(h) for h in halves.tolist()])
     box_half = np.minimum(halves + BOX_SLACK, math.pi)
     wide = np.array((np.cos(box_half), np.sin(box_half)))
     one_beam = bool((halves == halves[0]).all())  # then sector_hits takes scalars
@@ -300,17 +296,17 @@ def propagate_batch(scenarios: Sequence[Scenario],
         per_round.append(np.bincount(tx_flood, minlength=n_floods))
         to_x, to_y = dest_x[tx_flood], dest_y[tx_flood]
         ux, uy = aim_vectors(tx_x, tx_y, to_x, to_y, tx_delta)
-        tx_cos, tx_full, tx_wide = ((cos_half[0], full[0], wide[:, 0]) if one_beam
-                                    else (cos_half[tx_flood], full[tx_flood], wide[:, tx_flood]))
+        tx_cos, tx_wide = ((cos_half[0], wide[:, 0]) if one_beam
+                           else (cos_half[tx_flood], wide[:, tx_flood]))
         # each transmitter tests its own destination as one extra point
-        hit = tx_flood[_in_sectors(to_x - tx_x, to_y - tx_y, ux, uy, r2, tx_cos, tx_full)]
+        hit = tx_flood[_in_sectors(to_x - tx_x, to_y - tx_y, ux, uy, r2, tx_cos)]
         hit = hit[~reached[hit]]
         reached[hit] = True
         first_hop[hit] = len(per_round)
         fresh = []
         tx_shift = shift[tx_flood]
         for owner, rows in sector_hits(index, tx_x, tx_y, ux, uy, field_of[tx_flood],
-                                       tx_cos, tx_full, tx_wide):
+                                       tx_cos, tx_wide):
             slots = rows + tx_shift[owner]
             slots = slots[~covered[slots]]
             covered[slots] = True

@@ -1,17 +1,23 @@
-"""The benchmark's trace sites still name callables of the library.
+"""The benchmark's call sites still name callables of the library.
 
 bench/spans.py replaces attributes such as ``experiments.propagate`` with
 span wrappers; a refactor that drops or renames one would break
 ``bench/run.py --trace 1``.  The module is loaded from its file and only
-its site list is read; no wrapper is installed.
+its site list is read; no wrapper is installed.  bench/run.py's set-up
+snippet calls ``configio`` directly, so it is run as the benchmark runs it.
 """
 
+import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from sectorcast import cli, configio, engine, experiments, leafmodel
 
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def load_spans():
@@ -21,8 +27,27 @@ def load_spans():
     return module
 
 
+def setup_snippet() -> str:
+    """bench/run.py's _SETUP_SNIPPET, read without importing the runner."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["_SETUP_SNIPPET"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py has no _SETUP_SNIPPET")
+
+
 def test_every_trace_site_is_a_callable_attribute():
     sites = load_spans().call_sites(cli, configio, engine, experiments, leafmodel)
     assert sites
     for name, owner, attr, _ in sites:
         assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr}"
+
+
+def test_setup_snippet_loads_sample_cfg_in_a_fresh_interpreter():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", setup_snippet(), str(ROOT / "sample.cfg")],
+                         capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
+                         check=True).stdout.split()
+    assert len(out) == 1
+    assert float(out[0]) > 0.0

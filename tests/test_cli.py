@@ -58,6 +58,28 @@ def test_parse_config_text_roundtrip():
     assert [math.degrees(t) for t in spec.theta_values] == pytest.approx([45.0, 90.0])
 
 
+def test_config_record_and_echo_read_back_to_the_same_config():
+    # the record and the '#' echo name every key under its file key and in
+    # file units, so reading them back gives the same library values; the
+    # angles echo as math.degrees of the stored radians (60 as
+    # 59.99999999999999), which read back to the same radians for the values
+    # here but not for every value (57 comes back one ulp off)
+    base, sweep = configio.parse_config_text(BASE_TEXT)
+    configio.apply_overrides(base, sweep, ["placement=poisson", "direction_error_deg=7.5",
+                                           "theta_deg=60", "sweep.theta_deg=22.5, 60, 120"])
+    cfg = configio.to_scenario_config(base)
+    spec = configio.to_sweep_spec(cfg, sweep)
+    record = configio.config_record(cfg)
+    assert record.keys() == base.keys()
+    assert record["placement"] == "poisson" and record["direction_error_deg"] > 0
+    text = "".join(f"{key} = {value}\n" for key, value in record.items())
+    assert configio.to_scenario_config(configio.parse_config_text(text)[0]) == cfg
+    echo = "\n".join(line.removeprefix("# ") for line in configio.config_echo_lines(cfg, spec))
+    echo_base, echo_sweep = configio.parse_config_text(echo)
+    assert echo_sweep.keys() == {"theta_deg", "n_nodes", "d", "trials"}
+    assert configio.to_sweep_spec(configio.to_scenario_config(echo_base), echo_sweep) == spec
+
+
 def test_parse_config_reports_line_numbers():
     with pytest.raises(ConfigError, match="cfg:2"):
         configio.parse_config_text("square_side = 10\nbogus_key = 3\n", "cfg")

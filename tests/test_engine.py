@@ -8,6 +8,7 @@ import pytest
 
 from sectorcast.engine import (
     BOX_SLACK,
+    FULL_CIRCLE,
     SOURCE_ID,
     GridIndex,
     aim_vectors,
@@ -182,9 +183,10 @@ def test_batch_over_shared_nodes_matches_single_floods():
     delivered = set()
     for eps_deg in (0.0, 10.0):
         for placement in (Placement.FIXED_COUNT, Placement.POISSON_COUNT):
-            for n in (90, 0):
+            # an empty field alone and among a non-empty one
+            for sizes in ((90, 90), (0, 0), (90, 0)):
                 scenarios = []
-                for seed in (3, 4):  # two trials' fields in one batch
+                for seed, n in zip((3, 4), sizes):  # two trials' fields in one batch
                     cfg = replace(base, n_nodes=n, seed=seed, placement=placement,
                                   direction_error_bound=math.radians(eps_deg))
                     scenarios += shared_field(cfg, (5.0, 135.0, 360.0), (0.0, 150.0, 250.0, 900.0))
@@ -195,11 +197,33 @@ def test_batch_over_shared_nodes_matches_single_floods():
                 assert len({id(s.nodes) for s in scenarios}) == 2
                 for b, scenario in enumerate(scenarios):
                     want = propagate(scenario)
-                    assert batch.outcome(b) == want, (eps_deg, placement, n, b)
+                    assert batch.outcome(b) == want, (eps_deg, placement, sizes, b)
                     assert batch.reached[b] == want.success
                     assert batch.implicated[b] == len(want.implicated)
                     delivered.add(want.success)
     assert delivered == {True, False}
+
+
+def test_full_circle_covers_nodes_straight_behind_the_axis():
+    # a node straight behind a transmitter's axis has dot = -|d|; here the
+    # float dot product even lands below -sqrt(q), so a 360-degree sector
+    # must not be tested against cos(pi)
+    src = (500.0, 500.0)
+    ux, uy = aim_vectors(np.array([500.0]), np.array([500.0]), np.array([510.0]),
+                         np.array([600.0]), np.zeros(1))
+    assert -1.0 * ux[0] - 10.0 * uy[0] < -math.sqrt(101.0)
+    diagonal = make_scenario([(499.0, 490.0)], src, (510.0, 600.0), theta_deg=360.0)
+    axial = make_scenario([(400.0, 500.0)], src, (800.0, 500.0), theta_deg=360.0)
+    narrow = replace(diagonal, config=replace(diagonal.config, theta=math.radians(90.0)))
+    batch = propagate_batch([diagonal, axial, narrow])  # per-flood half-angles
+    for b, scenario in enumerate((diagonal, axial, narrow)):
+        want = brute_force_flood(scenario)
+        for got in (propagate(scenario), batch.outcome(b)):  # one beam, per flood
+            assert (got.success, got.first_delivery_hop, got.implicated, got.covered,
+                    got.per_round_transmitters) == (
+                want["success"], want["first_delivery_hop"], want["implicated"],
+                want["covered"], want["per_round_transmitters"]), b
+            assert (0 in got.covered) == (scenario is not narrow)
 
 
 def test_batch_requires_shared_radius_and_aim_error():
@@ -300,12 +324,11 @@ def batched_hits(index, apexes, axes, half_angle, groups=None):
     ux = np.array([math.cos(a) for a in axes], dtype=float)
     uy = np.array([math.sin(a) for a in axes], dtype=float)
     groups = np.zeros(len(xs), np.int64) if groups is None else np.asarray(groups)
-    cos_half = np.full(len(xs), math.cos(half_angle))
-    full = np.full(len(xs), half_angle >= math.pi)
+    cos_half = np.full(len(xs), FULL_CIRCLE if half_angle >= math.pi else math.cos(half_angle))
     box_half = min(half_angle + BOX_SLACK, math.pi)
     wide = np.array([np.full(len(xs), math.cos(box_half)), np.full(len(xs), math.sin(box_half))])
     found = [set() for _ in apexes]
-    for owner, ids in sector_hits(index, xs, ys, ux, uy, groups, cos_half, full, wide):
+    for owner, ids in sector_hits(index, xs, ys, ux, uy, groups, cos_half, wide):
         for o, i in zip(owner.tolist(), ids.tolist()):
             found[o].add(i)
     return found
