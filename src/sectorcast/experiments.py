@@ -23,7 +23,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import betaincinv
 
 # propagate stays importable here: trace tools wrap experiments.propagate
 from .engine import propagate, propagate_batch  # noqa: F401
@@ -156,6 +155,7 @@ def _success_halfwidth(successes: int, trials: int) -> float:
     p = successes / trials
     if 5 <= successes <= trials - 5:
         return _Z95 * math.sqrt(p * (1.0 - p) / trials)
+    from scipy.special import betaincinv  # lazy: ~0.25 s of import, needed only here
     lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, 0.025))
     hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 0.975))
     return (hi - lo) / 2.0

@@ -4,7 +4,8 @@ bench/spans.py replaces attributes such as ``experiments.propagate`` with
 span wrappers; a refactor that drops or renames one would break
 ``bench/run.py --trace 1``.  The module is loaded from its file and only
 its site list is read; no wrapper is installed.  bench/run.py's set-up
-snippet calls ``configio`` directly, so it is run as the benchmark runs it.
+snippet calls ``configio`` directly, so it is run as the benchmark runs it,
+and its imports are listed to check that set-up loads no scipy module.
 """
 
 import ast
@@ -46,8 +47,15 @@ def test_every_trace_site_is_a_callable_attribute():
 def test_setup_snippet_loads_sample_cfg_in_a_fresh_interpreter():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", setup_snippet(), str(ROOT / "sample.cfg")],
+    run = subprocess.run([sys.executable, "-X", "importtime", "-c", setup_snippet(),
+                          str(ROOT / "sample.cfg")],
                          capture_output=True, text=True, timeout=120, env=env, cwd=ROOT,
-                         check=True).stdout.split()
+                         check=True)
+    out = run.stdout.split()
     assert len(out) == 1
     assert float(out[0]) > 0.0
+    # setup_s times this snippet: it must not pay for scipy's import
+    imported = [line.split("|")[-1].strip() for line in run.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "sectorcast.configio" in imported
+    assert [name for name in imported if name.split(".")[0] == "scipy"] == []

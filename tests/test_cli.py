@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -182,6 +184,35 @@ def test_seed_flag_overrides_config(tmp_path, config_file):
     run_cli("simulate", "--config", config_file, "--seed", "99", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
     assert json.loads(a.read_text())["config"]["seed"] == 99
+
+
+def test_flags_do_not_leak_into_the_next_call(tmp_path, config_file):
+    first = tmp_path / "first.json"
+    second = tmp_path / "second.json"
+    assert run_cli("simulate", "--config", config_file, "--set", "n_nodes=5",
+                   "--seed", "3", "--out", str(first)) == 0
+    assert run_cli("simulate", "--config", config_file, "--out", str(second)) == 0
+    assert cli.build_parser() is cli.build_parser()
+    configs = [json.loads(path.read_text())["config"] for path in (first, second)]
+    assert [(c["n_nodes"], c["seed"]) for c in configs] == [(5, 3), (100, 11)]
+
+
+def test_one_shot_commands_leave_scipy_unloaded(tmp_path, config_file):
+    code = f"""
+import sys
+from sectorcast import cli
+for command in ("simulate", "snapshot", "model"):
+    assert cli.main([command, "--config", {config_file!r},
+                     "--out", {str(tmp_path)!r} + "/" + command]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "[]"
+    assert {p.name for p in tmp_path.iterdir()} >= {"simulate", "snapshot", "model"}
 
 
 # ---------------------------------------------------------------------- sweep

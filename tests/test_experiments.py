@@ -134,10 +134,11 @@ def test_import_leaves_scipy_stats_unloaded():
     src = os.path.dirname(os.path.dirname(experiments.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = "import sys, sectorcast; print('scipy.stats' in sys.modules)"
+    code = ("import sys, sectorcast.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.split() == ["False"]
+    assert out.split() == ["[]"]
 
 
 def test_model_fields_absent_when_degenerate_or_flagged():
