@@ -1,9 +1,11 @@
 """Command-line front end: simulate, sweep, model, compare, snapshot.
 
-Exit codes: 0 success, 2 configuration error, 3 output I/O error.  Angles
-are degrees here and in config files.  Relative output paths resolve under
-$SECTORCAST_OUTDIR when set; every output file is written atomically and
-reruns of an identical invocation produce byte-identical files.
+Exit codes: 0 success, 2 configuration error, 3 output I/O error.  Every
+command checks its config, then its output path, before it computes
+anything.  Angles are degrees here and in config files.  Relative output
+paths resolve under $SECTORCAST_OUTDIR when set; every output file is
+written atomically and reruns of an identical invocation produce
+byte-identical files.
 """
 
 from __future__ import annotations
@@ -70,26 +72,9 @@ def _load(args: argparse.Namespace) -> tuple[ScenarioConfig, SweepSpec]:
     return config, spec
 
 
-def _resolve_out(args: argparse.Namespace) -> str | None:
-    path = args.out or _COMMANDS[args.command][2]
-    if path is None:
-        return None
-    if not os.path.isabs(path):
-        path = os.path.join(os.environ.get(OUTDIR_ENV, "."), path)
-    return path
-
-
-def _flood(args: argparse.Namespace):
-    """Config, checked output path, scenario and flood outcome for one seed."""
-    config, _ = _load(args)
-    out_path = _resolve_out(args)
-    ensure_writable(out_path)
-    scenario = generate(config)
-    return config, out_path, scenario, propagate(scenario)
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    config, out_path, _, outcome = _flood(args)
+def cmd_simulate(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
+                 out_path: str) -> int:
+    outcome = propagate(generate(config))
 
     n_total = config.n_nodes + 1
     ratio = len(outcome.implicated) / n_total
@@ -122,11 +107,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_grid(args: argparse.Namespace, spec: SweepSpec) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
-    out_path = _resolve_out(args)
-    ensure_writable(out_path)
+def cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
+              out_path: str) -> int:
     t0 = time.perf_counter()
     results = run_sweep(spec, workers=args.workers)
     elapsed = time.perf_counter() - t0
@@ -141,23 +123,13 @@ def _run_grid(args: argparse.Namespace, spec: SweepSpec) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    _, spec = _load(args)
-    return _run_grid(args, spec)
+def cmd_compare(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
+                out_path: str) -> int:
+    return cmd_sweep(args, config, replace(spec, d_values=(config.sd_distance,)), out_path)
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    config, spec = _load(args)
-    spec = replace(spec, d_values=(config.sd_distance,))
-    return _run_grid(args, spec)
-
-
-def cmd_model(args: argparse.Namespace) -> int:
-    config, _ = _load(args)
-    out_path = _resolve_out(args)  # only written when --out was given
-    if out_path is not None:
-        ensure_writable(out_path)
-
+def cmd_model(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
+              out_path: str | None) -> int:
     lines = [
         f"r = {config.radius:g} m, theta = {math.degrees(config.theta):g} deg, "
         f"d = {config.sd_distance:g} m, field side = {config.square_side:g} m",
@@ -192,15 +164,17 @@ def cmd_model(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_snapshot(args: argparse.Namespace) -> int:
-    _, out_path, scenario, outcome = _flood(args)
+def cmd_snapshot(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
+                 out_path: str) -> int:
+    scenario = generate(config)
+    outcome = propagate(scenario)
     atomic_write_text(out_path, render_svg(scenario, outcome))
     print(f"snapshot written to {out_path} "
           f"(success={outcome.success}, implicated={len(outcome.implicated)})")
     return EXIT_OK
 
 
-# name -> (handler, help text, default output file; None writes only on --out)
+# name -> (handler(args, config, spec, out_path), help, default output; None: --out only)
 _COMMANDS = {
     "simulate": (cmd_simulate, "run one scenario and report the flood outcome",
                  "simulate.json"),
@@ -216,8 +190,16 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    handler, _, default_out = _COMMANDS[args.command]
     try:
-        return _COMMANDS[args.command][0](args)
+        config, spec = _load(args)
+        if getattr(args, "workers", 1) < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+        out_path = args.out or default_out
+        if out_path is not None:  # an absolute path survives the join as it is
+            out_path = os.path.join(os.environ.get(OUTDIR_ENV, "."), out_path)
+            ensure_writable(out_path)
+        return handler(args, config, spec, out_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

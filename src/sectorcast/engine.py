@@ -195,16 +195,19 @@ class BatchOutcome:
     """Floods of a batch of scenarios.
 
     Flood b owns slots offsets[b] .. offsets[b + 1] - 1 of covered, one per
-    node of its scenario in order, and reached[b] says whether it reached
-    its destination.  Every covered node relays exactly once, so a flood's
-    transmitters are its source and its covered nodes.
+    node of its scenario in order.  Every covered node relays exactly once,
+    so a flood's transmitters are its source and its covered nodes.
     """
 
     offsets: np.ndarray    # (B + 1,) slot offsets
     covered: np.ndarray    # per slot: the message reached the node
-    reached: np.ndarray    # (B,) the message reached the destination
     first_hop: np.ndarray  # (B,) round that first reached the destination, 0 if none
     per_round: np.ndarray  # (rounds, B) transmitters per round
+
+    @property
+    def reached(self) -> np.ndarray:
+        """(B,) the message reached the destination: first_hop > 0."""
+        return self.first_hop > 0
 
     @property
     def implicated(self) -> np.ndarray:
@@ -214,15 +217,14 @@ class BatchOutcome:
     def outcome(self, b: int) -> BroadcastOutcome:
         lo, hi = int(self.offsets[b]), int(self.offsets[b + 1])
         nodes = np.flatnonzero(self.covered[lo:hi]).tolist()
-        success = bool(self.reached[b])
+        hop = int(self.first_hop[b])
         counts = self.per_round[:, b]
         counts = counts[counts > 0]
-        hop = int(self.first_hop[b])
         return BroadcastOutcome(
-            success=success,
+            success=hop > 0,
             first_delivery_hop=hop or None,
             implicated=frozenset([SOURCE_ID, *nodes]),
-            covered=frozenset([*nodes, hi - lo] if success else nodes),
+            covered=frozenset([*nodes, hi - lo] if hop else nodes),
             rounds=len(counts),
             per_round_transmitters=tuple(counts.tolist()),
         )
@@ -284,7 +286,6 @@ def propagate_batch(scenarios: Sequence[Scenario],
     dest_y = np.array([s.destination.y for s in scenarios])
     covered = np.zeros(offsets[-1], dtype=bool)
     stamp = np.zeros(offsets[-1], dtype=np.int64)
-    reached = np.zeros(n_floods, dtype=bool)
     first_hop = np.zeros(n_floods, dtype=np.int64)
     per_round = []
 
@@ -300,8 +301,7 @@ def propagate_batch(scenarios: Sequence[Scenario],
                            else (cos_half[tx_flood], wide[:, tx_flood]))
         # each transmitter tests its own destination as one extra point
         hit = tx_flood[_in_sectors(to_x - tx_x, to_y - tx_y, ux, uy, r2, tx_cos)]
-        hit = hit[~reached[hit]]
-        reached[hit] = True
+        hit = hit[first_hop[hit] == 0]
         first_hop[hit] = len(per_round)
         fresh = []
         tx_shift = shift[tx_flood]
@@ -321,7 +321,7 @@ def propagate_batch(scenarios: Sequence[Scenario],
         tx_x, tx_y = index.points[tx_rows, 0], index.points[tx_rows, 1]
         tx_delta = slot_delta[fresh]
 
-    return BatchOutcome(offsets=offsets, covered=covered, reached=reached, first_hop=first_hop,
+    return BatchOutcome(offsets=offsets, covered=covered, first_hop=first_hop,
                         per_round=np.array(per_round).reshape(-1, n_floods))
 
 

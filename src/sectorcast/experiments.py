@@ -135,19 +135,17 @@ def _run_unit(configs: list[ScenarioConfig], first: int,
               stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Trials first..stop-1 of cells sharing n_nodes and base seed: (success,
     implicated ratio, hops-or-0) arrays of shape (cells, trials)."""
+    ends = [endpoint_positions(cfg) for cfg in configs]  # independent of the seed
     scenarios = []
     for t in range(first, stop):
         seed = derive_seed(configs[0].seed, t)
-        nodes = generate(replace(configs[0], seed=seed)).nodes
-        for cfg in configs:
-            cfg = replace(cfg, seed=seed)
-            scenarios.append(Scenario(nodes, *endpoint_positions(cfg), cfg))
+        trial = [replace(cfg, seed=seed) for cfg in configs]
+        nodes = generate(trial[0]).nodes
+        scenarios += [Scenario(nodes, *end, cfg) for end, cfg in zip(ends, trial)]
     flood = propagate_batch(scenarios)
     shape = (stop - first, len(configs))
-    success = flood.reached
     ratio = flood.implicated / (configs[0].n_nodes + 1)
-    hops = np.where(success, flood.first_hop, 0)
-    return success.reshape(shape).T, ratio.reshape(shape).T, hops.reshape(shape).T
+    return tuple(a.reshape(shape).T for a in (flood.reached, ratio, flood.first_hop))
 
 
 def _success_halfwidth(successes: int, trials: int) -> float:

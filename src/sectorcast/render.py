@@ -20,23 +20,12 @@ _VIEW = 800.0
 _MARGIN = 40.0
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
-
-
-class _Mapper:
-    def __init__(self, side: float):
-        self.scale = _VIEW / side
-        self.side = side
-
-    def xy(self, x: float, y: float) -> tuple[str, str]:
-        return (_fmt(_MARGIN + x * self.scale),
-                _fmt(_MARGIN + (self.side - y) * self.scale))
-
-
-def _circle(m: _Mapper, x: float, y: float, r_px: float, fill: str) -> str:
-    px, py = m.xy(x, y)
-    return f'<circle cx="{px}" cy="{py}" r="{_fmt(r_px)}" fill="{fill}"/>'
+def _pixels(points, side: float) -> list[list[float]]:
+    """(n, 2) field points in meters as [x, y] viewport pixels, y flipped."""
+    xy = np.asarray(points, dtype=float).reshape(-1, 2)
+    scale = _VIEW / side
+    return np.column_stack((_MARGIN + xy[:, 0] * scale,
+                            _MARGIN + (side - xy[:, 1]) * scale)).tolist()
 
 
 def _leaf_polygon(scenario: Scenario) -> list[tuple[float, float]] | None:
@@ -60,48 +49,46 @@ def _leaf_polygon(scenario: Scenario) -> list[tuple[float, float]] | None:
 
 def render_svg(scenario: Scenario, outcome: BroadcastOutcome) -> str:
     cfg = scenario.config
-    m = _Mapper(cfg.square_side)
-    size = _fmt(_VIEW + 2 * _MARGIN)
+    side = cfg.square_side
+    size = _VIEW + 2 * _MARGIN
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{size}" height="{size}" viewBox="0 0 {size} {size}">',
+        f'width="{size:.2f}" height="{size:.2f}" viewBox="0 0 {size:.2f} {size:.2f}">',
         f'<!-- N={len(scenario.nodes)} r={cfg.radius:g} m '
         f'theta={math.degrees(cfg.theta):g} deg d={cfg.sd_distance:g} m '
         f'seed={cfg.seed} success={outcome.success} -->',
     ]
 
-    x0, y0 = m.xy(0.0, cfg.square_side)
+    [(x0, y0)] = _pixels([(0.0, side)], side)
     parts.append('<g id="field">')
-    parts.append(f'<rect x="{x0}" y="{y0}" width="{_fmt(_VIEW)}" height="{_fmt(_VIEW)}" '
+    parts.append(f'<rect x="{x0:.2f}" y="{y0:.2f}" width="{_VIEW:.2f}" height="{_VIEW:.2f}" '
                  f'fill="white" stroke="#333333" stroke-width="1.5"/>')
     parts.append("</g>")
 
-    # node dots in bulk: _Mapper.xy's arithmetic in one numpy pass
-    nodes = np.asarray(scenario.nodes, dtype=float).reshape(-1, 2)
-    px = (_MARGIN + nodes[:, 0] * m.scale).tolist()
-    py = (_MARGIN + (m.side - nodes[:, 1]) * m.scale).tolist()
+    dots = _pixels(scenario.nodes, side)
     relays = sorted(i for i in outcome.implicated if i != SOURCE_ID)
-    dark = np.ones(len(px), dtype=bool)
+    dark = np.ones(len(dots), dtype=bool)
     dark[relays] = False
     for layer, ids, dot in (("nodes", np.flatnonzero(dark).tolist(), 'r="1.50" fill="#b8b8b8"'),
                             ("implicated", relays, 'r="2.50" fill="#d9534f"')):
         parts.append(f'<g id="{layer}">')
-        parts.extend(f'<circle cx="{px[i]:.2f}" cy="{py[i]:.2f}" {dot}/>' for i in ids)
+        parts.extend(f'<circle cx="{dots[i][0]:.2f}" cy="{dots[i][1]:.2f}" {dot}/>' for i in ids)
         parts.append("</g>")
 
     parts.append('<g id="chain">')
     outline = _leaf_polygon(scenario)
     if outline is not None:
-        points = " ".join(",".join(m.xy(x, y)) for x, y in outline)
+        points = " ".join(f"{x:.2f},{y:.2f}" for x, y in _pixels(outline, side))
         parts.append(f'<polygon points="{points}" fill="none" '
                      f'stroke="#2a6fdb" stroke-width="1.5" stroke-dasharray="6,4"/>')
     parts.append("</g>")
 
     parts.append('<g id="endpoints">')
-    parts.append(_circle(m, scenario.source.x, scenario.source.y, 5.0, "#2c9f45"))
-    parts.append(_circle(m, scenario.destination.x, scenario.destination.y, 5.0, "#1a1a8c"))
+    ends = [(p.x, p.y) for p in (scenario.source, scenario.destination)]
+    parts.extend(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="5.00" fill="{fill}"/>'
+                 for (x, y), fill in zip(_pixels(ends, side), ("#2c9f45", "#1a1a8c")))
     parts.append("</g>")
 
     parts.append("</svg>")

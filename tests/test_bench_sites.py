@@ -3,9 +3,11 @@
 bench/spans.py replaces attributes such as ``experiments.propagate`` with
 span wrappers; a refactor that drops or renames one would break
 ``bench/run.py --trace 1``.  The module is loaded from its file and only
-its site list is read; no wrapper is installed.  bench/run.py's set-up
-snippet calls ``configio`` directly, so it is run as the benchmark runs it,
-and its imports are listed to check that set-up loads no scipy module.
+its site list is read, or its wrappers are installed around one run of
+each command to check that the run records the spans the benchmark's
+metrics are summed from.  bench/run.py's set-up snippet calls ``configio``
+directly, so it is run as the benchmark runs it, and its imports are listed
+to check that set-up loads no scipy module.
 """
 
 import ast
@@ -14,6 +16,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from sectorcast import cli, configio, engine, experiments, leafmodel
 
@@ -59,3 +63,45 @@ def test_setup_snippet_loads_sample_cfg_in_a_fresh_interpreter():
                 if line.startswith("import time:")]
     assert "sectorcast.configio" in imported
     assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
+SMALL_CFG = """\
+square_side = 1500
+n_nodes = 100
+radius = 200
+theta_deg = 90
+d = 600
+seed = 11
+
+[sweep]
+theta_deg = 45, 90
+n_nodes = 60
+d = 600
+trials = 2
+"""
+ONE_FLOOD = {"cli.main", "scenario.generate", "engine.propagate", "configio.atomic_write_text"}
+SWEEP = {"experiments.run_sweep", "scenario.derive_seed", "engine.build_index",
+         "engine.candidates"}
+
+
+@pytest.mark.parametrize("command, expected", [
+    ("simulate", ONE_FLOOD),
+    ("snapshot", ONE_FLOOD | {"render.render_svg"}),
+    ("model", {"cli.main", "leafmodel.build_leaf", "configio.atomic_write_text"}),
+    ("sweep", SWEEP),    # one worker: spans in pool workers are lost
+    ("compare", SWEEP),
+])
+def test_each_command_records_its_spans(tmp_path, command, expected):
+    # a library name bound locally (from ... import inside a function, a
+    # default argument) would bypass the wrapper and read 0 under --trace 1
+    spans = load_spans()
+    config = tmp_path / "small.cfg"
+    config.write_text(SMALL_CFG)
+    tracer = spans.Tracer()
+    tracer.op = 0
+    with spans.installed(tracer, spans.call_sites(cli, configio, engine, experiments,
+                                                  leafmodel)):
+        assert cli.main([command, "--config", str(config),
+                         "--out", str(tmp_path / command)]) == 0
+    recorded = tracer.summary([0])
+    assert expected <= recorded.keys(), sorted(expected - recorded.keys())

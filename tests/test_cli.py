@@ -161,6 +161,25 @@ def test_oversized_inputs_exit_2_before_any_allocation(tmp_path, monkeypatch, ca
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "snapshot", "model", "sweep", "compare"])
+def test_config_then_output_path_then_work(tmp_path, config_file, monkeypatch, capsys,
+                                           command):
+    # every command checks its config, then its output path, before it
+    # generates a field, runs a sweep or builds a chain
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} computed before its checks")
+
+    for owner, name in ((cli, "generate"), (experiments, "generate"), (cli, "run_sweep"),
+                        (cli, "build_leaf")):
+        monkeypatch.setattr(owner, name, no_work)
+    missing = str(tmp_path / "missing_dir" / "out")
+    assert run_cli(command, "--config", config_file, "--set", "radius=-5",
+                   "--out", missing) == 2
+    assert "config error: radius must be positive" in capsys.readouterr().err
+    assert run_cli(command, "--config", config_file, "--out", missing) == 3
+    assert "i/o error: output directory does not exist" in capsys.readouterr().err
+
+
 def test_workers_only_on_sweep_and_compare_and_at_least_one(tmp_path, config_file, capsys):
     for command in ("sweep", "compare"):
         for bad in ("0", "-3"):
@@ -169,6 +188,10 @@ def test_workers_only_on_sweep_and_compare_and_at_least_one(tmp_path, config_fil
             assert code == 2
             assert f"--workers must be >= 1, got {bad}" in capsys.readouterr().err
             assert not out.exists()
+        # --workers is part of the config: checked before the output path
+        assert run_cli(command, "--config", config_file, "--workers", "0",
+                       "--out", str(tmp_path / "missing_dir" / "x.csv")) == 2
+        assert "config error: --workers must be >= 1, got 0" in capsys.readouterr().err
     for command in ("simulate", "snapshot", "model"):
         with pytest.raises(SystemExit) as exc:
             run_cli(command, "--config", config_file, "--workers", "2",
