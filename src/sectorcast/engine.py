@@ -12,8 +12,16 @@ propagate_batch floods many scenarios together: each round tests every
 transmitter's candidates are the index's nodes in its sector's bounding
 box.  The index holds nodes only, one group per distinct nodes array, so the
 floods of a sweep trial that differ only in theta and d share one group;
-each flood keeps its own covered slots, and each transmitter tests its own
-destination as one extra point.  propagate is the one-flood call.
+each flood keeps its own covered slots, laid out in the index's sort order,
+so a candidate run of the index is a run of the flood's slots and covered
+candidates are dropped before any coordinate is gathered.  Each transmitter
+tests its own destination as one extra point.  propagate is the one-flood
+call.
+
+Axes come from numpy's vector trig, which may differ from the scalar math
+of the in_sector oracle in the last bits; every pair within NEAR of its
+sector's edge is decided again with the scalar aim_vectors axis, so each
+decision is the oracle's.
 
 Node identifiers: ordinary nodes are their row index in scenario.nodes,
 the destination is index n_nodes, and the source is SOURCE_ID (-1).
@@ -38,6 +46,9 @@ BOX_SLACK = 1e-6
 # cos_half of a 360-degree sector: below any dot / |d| ratio, so every
 # point within range passes the angular test
 FULL_CIRCLE = -2.0
+# a pair whose dot - sqrt(q) * cos_half lies within NEAR * sqrt(q) of 0 is
+# decided again with the scalar axis; vector axes stay within NEAR / 1000 of it
+NEAR = 1e-9
 _TOWARD = np.array([[-1.0], [-1.0], [1.0], [1.0]])  # signs of the -x, -y, +x, +y box sides
 
 
@@ -73,24 +84,27 @@ class GridIndex:
     """
 
     def __init__(self, points: np.ndarray, radius: float, groups: np.ndarray):
-        self.points = np.asarray(points, dtype=float).reshape(-1, 2)
+        points = np.asarray(points, dtype=float).reshape(-1, 2)
         self.radius = radius
-        n = len(self.points)
-        xy = np.ascontiguousarray(self.points.T)  # fast reductions along each coordinate
-        groups = np.asarray(groups, np.int64)
+        n = len(points)
+        xy = np.ascontiguousarray(points.T)  # fast reductions along each coordinate
+        groups = np.asarray(groups)
         self._ngroups = int(groups.max(initial=-1)) + 1
-        self._abs_max = float(np.abs(xy).max(initial=0.0))
-        origin = xy.min(axis=1, keepdims=True) if n else np.zeros((2, 1))
-        extent = float((xy.max(axis=1, keepdims=True) - origin).max()) if n else 0.0
+        origin, top = ((xy.min(axis=1, keepdims=True), xy.max(axis=1, keepdims=True)) if n
+                       else (np.zeros((2, 1)), np.zeros((2, 1))))
+        self._abs_max = float(max(-origin.min(), top.max()))
+        extent = float((top - origin).max())
         self._cell = max(radius / 3.0, extent / math.sqrt(4.0 * n / self._ngroups) if n else 0.0)
-        cells = ((xy - origin) / self._cell).astype(np.int64)
+        # 32-bit cells and keys sort faster: a cell coordinate is below
+        # 2 * sqrt(points) + 1 and size about 4 * points + groups
+        cells = ((xy - origin) / self._cell).astype(np.int32)
         self._ncols, self._nrows = (cells.max(axis=1, initial=0) + 1).tolist()
-        ids = (groups * self._ncols + cells[0]) * self._nrows + cells[1]
-        self.order = np.argsort(ids)
         size = self._ngroups * self._ncols * self._nrows
+        key = groups.astype(np.int32 if size < 2**31 else np.int64)
+        ids = (key * self._ncols + cells[0]) * self._nrows + cells[1]
+        self.order = np.argsort(ids)
         self.start = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=size))))
-        self.sorted_x = xy[0, self.order]
-        self.sorted_y = xy[1, self.order]
+        self.sorted_x, self.sorted_y = xy.take(self.order, axis=1)
         # query boxes are (4, queries) rows: low x, low y, high x, high y
         self._origin = np.tile(origin, (2, 1))
         self._clip = np.array([[0, 0, -1, -1], [self._ncols, self._nrows, self._ncols - 1,
@@ -107,42 +121,63 @@ class GridIndex:
         pad = 1e-9 * (max(self._abs_max, np.abs(apex).max(initial=0.0)) + self.radius)
         reach = (self.radius * reach + pad) * _TOWARD
         cells = np.floor((apex + reach - self._origin) / self._cell)
-        cells = cells.clip(*self._clip).astype(np.int64)
+        cells = np.minimum(np.maximum(cells, self._clip[0]), self._clip[1]).astype(np.int64)
         cols, rows = np.maximum(cells[2:] - cells[:2] + 1, 0)
         spans = cols * ((rows > 0) & (groups < self._ngroups))
-        query = np.repeat(np.arange(len(groups)), spans)
-        col = np.repeat(cells[0] - np.cumsum(spans) + spans, spans) + np.arange(len(query))
+        # array methods: the np.* wrappers cost more than a round's small arrays
+        query = np.arange(len(groups)).repeat(spans)
+        col = (cells[0] - spans.cumsum() + spans).repeat(spans) + np.arange(len(query))
         base = (groups[query] * self._ncols + col) * self._nrows
         return query, self.start[base + cells[1, query]], self.start[base + cells[3, query] + 1]
 
     def candidates(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Positions in the sorted order of every point in the runs [lo, hi)."""
         counts = hi - lo
-        starts = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        starts = (lo - counts.cumsum() + counts).repeat(counts)
         return starts + np.arange(len(starts))
 
 
 def _in_sectors(dx: np.ndarray, dy: np.ndarray, ux: np.ndarray, uy: np.ndarray, r2: float,
-                cos_half: np.ndarray | float) -> np.ndarray:
+                cos_half: np.ndarray | float, exact) -> np.ndarray:
     """The in_sector oracle's test, elementwise, for points at (dx, dy) from
     their apexes: 0 < q <= r2 and the dot product with the axis is at least
     sqrt(q) * cos_half, the cosine of the half-angle (FULL_CIRCLE for a
-    360-degree sector).  cos_half is a per-point array or a scalar."""
+    360-degree sector), per point or scalar.  (ux, uy) are vector-trig axes:
+    a point in range whose gap, dot - sqrt(q) * cos_half, is within NEAR *
+    sqrt(q) of 0 is decided again with exact(k), the scalar axes of points k."""
     q = dx * dx + dy * dy
-    return (q > 0.0) & (q <= r2) & (dx * ux + dy * uy >= np.sqrt(q) * cos_half)
+    ok = (q > 0.0) & (q <= r2)
+    if not np.count_nonzero(ok):
+        return ok
+    root = np.sqrt(q)
+    gap = dx * ux + dy * uy - root * cos_half
+    edge = ok & (np.abs(gap) <= NEAR * root)
+    ok &= gap >= 0.0
+    if np.count_nonzero(edge):
+        k = edge.nonzero()[0]
+        ex, ey = exact(k)
+        c = cos_half[k] if np.ndim(cos_half) else cos_half
+        ok[k] = dx[k] * ex + dy[k] * ey >= root[k] * c
+    return ok
 
 
 def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray,
                 uy: np.ndarray, groups: np.ndarray, cos_half: np.ndarray | float,
-                wide: np.ndarray):
-    """Yield (query, point id) hit pairs, one chunk of about ROUND_CHUNK
+                wide: np.ndarray, shift: np.ndarray, covered: np.ndarray, exact):
+    """Yield (query, slot) hit pairs, one chunk of about ROUND_CHUNK
     candidate pairs at a time, for sectors of the index's radius at apexes
-    (xs, ys) pointing along unit vectors (ux, uy); same arithmetic as the
-    scalar in_sector oracle in tests/oracles.py.  cos_half (cos of the
+    (xs, ys) along vector-trig axes (ux, uy), with the verdicts of the scalar
+    in_sector oracle in tests/oracles.py: exact(queries) gives the scalar
+    axes that decide pairs near a sector's edge.  cos_half (cos of the
     half-angle, FULL_CIRCLE for a 360-degree sector) is a per-query array,
     or a scalar when every query has the same half-angle.  wide holds cos and
     sin of the half-angle plus BOX_SLACK, capped at pi, in the same form:
     the index is queried over the bounding box of that wider sector.
+
+    Query i's candidate at sorted position p is slot p + shift[i] of
+    covered.  Candidates whose slot is covered when their chunk starts are
+    dropped untested, so a caller that marks each chunk's hits covered
+    gets every slot at most once per chunk.
     """
     # reach in radii toward -x, -y, +x and +y: the apex, both arc ends, and
     # each cardinal extreme within the half-angle
@@ -150,19 +185,33 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray
     u = np.array((-ux, -uy, ux, uy))
     reach = np.where(u >= c, 1.0, np.maximum(u * c + np.abs(u[::-1]) * s, 0.0))
     query, lo, hi = index.ranges(xs, ys, reach, groups)
-    ends = np.cumsum(hi - lo)
+    ends = (hi - lo).cumsum()
     cuts = []
     if len(ends) and ends[-1] > ROUND_CHUNK:
         cuts = np.searchsorted(ends, np.arange(ROUND_CHUNK, ends[-1], ROUND_CHUNK), side="right")
         cuts = np.unique(cuts[(cuts > 0) & (cuts < len(lo))]).tolist()
+    run_shift = shift[query]
+    lo, hi = lo + run_shift, hi + run_shift  # runs of slots
     r2 = index.radius * index.radius
     for a, b in zip((0, *cuts), (*cuts, len(lo))):
-        pos = index.candidates(lo[a:b], hi[a:b])
-        owner = np.repeat(query[a:b], hi[a:b] - lo[a:b])
+        slots = index.candidates(lo[a:b], hi[a:b])
+        live = ~covered[slots]
+        owner = query[a:b].repeat(hi[a:b] - lo[a:b])[live]
+        slots = slots[live]
+        pos = slots - shift[owner]
         c = cos_half[owner] if np.ndim(cos_half) else cos_half
         ok = _in_sectors(index.sorted_x[pos] - xs[owner], index.sorted_y[pos] - ys[owner],
-                         ux[owner], uy[owner], r2, c)
-        yield owner[ok], index.order[pos[ok]]
+                         ux[owner], uy[owner], r2, c, lambda k: exact(owner[k]))
+        yield owner[ok], slots[ok]
+
+
+def _vector_axes(dx: np.ndarray, dy: np.ndarray,
+                 deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) of bearing atan2(dy, dx) plus deltas, in numpy's vector
+    trig: within NEAR / 1000 of aim_vectors' scalar axes.  dx = dy = 0, of
+    either sign, is bearing 0."""
+    axes = np.arctan2(dy, dx + 0.0) + deltas
+    return np.cos(axes), np.sin(axes)
 
 
 def aim_vectors(xs: np.ndarray, ys: np.ndarray, dest_x: np.ndarray, dest_y: np.ndarray,
@@ -174,7 +223,8 @@ def aim_vectors(xs: np.ndarray, ys: np.ndarray, dest_x: np.ndarray, dest_y: np.n
     oracle in tests/oracles.py, one call each per transmitter, since
     numpy's vector versions may differ from them in the last bit.  np.mod
     is the same exact fmod and sign fix as Python's %.  A transmitter on
-    its destination aims at bearing 0.
+    its destination aims at bearing 0.  The flood kernel aims with
+    _vector_axes and calls this only for pairs near a sector's edge.
     """
     ddx, ddy = dest_x - xs, dest_y - ys
     axes = np.fromiter(map(math.atan2, ddy.tolist(), ddx.tolist()), float, len(ddx))
@@ -186,8 +236,8 @@ def aim_vectors(xs: np.ndarray, ys: np.ndarray, dest_x: np.ndarray, dest_y: np.n
 
 def build_index(fields: Sequence[np.ndarray], radius: float) -> GridIndex:
     """Index over the nodes of each field, grouped by field."""
-    return GridIndex(np.concatenate(fields), radius,
-                     np.repeat(np.arange(len(fields)), [len(f) for f in fields]))
+    return GridIndex(np.concatenate(fields), radius, np.repeat(
+        np.arange(len(fields), dtype=np.int32), [len(f) for f in fields]))
 
 
 @dataclass(frozen=True)
@@ -195,14 +245,19 @@ class BatchOutcome:
     """Floods of a batch of scenarios.
 
     Flood b owns slots offsets[b] .. offsets[b + 1] - 1 of covered, one per
-    node of its scenario in order.  Every covered node relays exactly once,
-    so a flood's transmitters are its source and its covered nodes.
+    node of its scenario in the sort order of the batch's GridIndex, not in
+    node order: slot offsets[b] + k is node order[base[b] + k] - base[b].
+    That layout follows the index and changes with it; outcome(b) maps the
+    slots back to node ids.  Every covered node relays exactly once, so a
+    flood's transmitters are its source and its covered nodes.
     """
 
     offsets: np.ndarray    # (B + 1,) slot offsets
     covered: np.ndarray    # per slot: the message reached the node
     first_hop: np.ndarray  # (B,) round that first reached the destination, 0 if none
     per_round: np.ndarray  # (rounds, B) transmitters per round
+    order: np.ndarray      # the index's sort order: sorted position -> row of all fields
+    base: np.ndarray       # (B,) sorted position of the first node of each flood's field
 
     @property
     def reached(self) -> np.ndarray:
@@ -216,7 +271,8 @@ class BatchOutcome:
 
     def outcome(self, b: int) -> BroadcastOutcome:
         lo, hi = int(self.offsets[b]), int(self.offsets[b + 1])
-        nodes = np.flatnonzero(self.covered[lo:hi]).tolist()
+        base = int(self.base[b])
+        nodes = (self.order[base + np.flatnonzero(self.covered[lo:hi])] - base).tolist()
         hop = int(self.first_hop[b])
         counts = self.per_round[:, b]
         counts = counts[counts > 0]
@@ -256,10 +312,12 @@ def propagate_batch(scenarios: Sequence[Scenario],
     index = build_index(fields, cfg.radius)
     field_start = np.concatenate(([0], np.cumsum([len(f) for f in fields])))
     offsets = np.concatenate(([0], np.cumsum([len(s.nodes) for s in scenarios])))
-    shift = offsets[:-1] - field_start[field_of]  # flood b's slot = index row + shift[b]
+    # flood b's slot of sorted position p is p + shift[b], and node_delta
+    # holds row r of the concatenated fields for flood b at r + shift[b]
+    shift = offsets[:-1] - field_start[field_of]
 
     eps = cfg.direction_error_bound
-    slot_delta = np.zeros(offsets[-1])
+    node_delta = np.zeros(offsets[-1])  # in node order: node i of flood b at offsets[b] + i
     src_delta = np.zeros(n_floods)
     if eps > 0.0:
         default_draws = {}
@@ -274,7 +332,7 @@ def propagate_batch(scenarios: Sequence[Scenario],
                 draws = default_draws[key]
             # draws[0] belongs to the source, draws[i + 1] to node i
             src_delta[b] = draws[0]
-            slot_delta[offsets[b]:offsets[b + 1]] = draws[1:]
+            node_delta[offsets[b]:offsets[b + 1]] = draws[1:]
 
     r2 = cfg.radius * cfg.radius
     halves = np.array([s.config.theta / 2.0 for s in scenarios])
@@ -290,25 +348,28 @@ def propagate_batch(scenarios: Sequence[Scenario],
     per_round = []
 
     tx_flood = np.arange(n_floods)
+    tx_shift = shift
     tx_x = np.array([s.source.x for s in scenarios])
     tx_y = np.array([s.source.y for s in scenarios])
     tx_delta = src_delta
     while len(tx_flood):
         per_round.append(np.bincount(tx_flood, minlength=n_floods))
         to_x, to_y = dest_x[tx_flood], dest_y[tx_flood]
-        ux, uy = aim_vectors(tx_x, tx_y, to_x, to_y, tx_delta)
+        dx, dy = to_x - tx_x, to_y - tx_y
+        ux, uy = _vector_axes(dx, dy, tx_delta)
+
+        def exact(k):  # scalar axes of transmitters k, for pairs near a sector's edge
+            return aim_vectors(tx_x[k], tx_y[k], to_x[k], to_y[k], tx_delta[k])
+
         tx_cos, tx_wide = ((cos_half[0], wide[:, 0]) if one_beam
                            else (cos_half[tx_flood], wide[:, tx_flood]))
         # each transmitter tests its own destination as one extra point
-        hit = tx_flood[_in_sectors(to_x - tx_x, to_y - tx_y, ux, uy, r2, tx_cos)]
+        hit = tx_flood[_in_sectors(dx, dy, ux, uy, r2, tx_cos, exact)]
         hit = hit[first_hop[hit] == 0]
         first_hop[hit] = len(per_round)
         fresh = []
-        tx_shift = shift[tx_flood]
-        for owner, rows in sector_hits(index, tx_x, tx_y, ux, uy, field_of[tx_flood],
-                                       tx_cos, tx_wide):
-            slots = rows + tx_shift[owner]
-            slots = slots[~covered[slots]]
+        for _, slots in sector_hits(index, tx_x, tx_y, ux, uy, field_of[tx_flood], tx_cos,
+                                    tx_wide, tx_shift, covered, exact):
             covered[slots] = True
             fresh.append(slots)
         fresh = np.concatenate(fresh)
@@ -316,13 +377,16 @@ def propagate_batch(scenarios: Sequence[Scenario],
         order = np.arange(len(fresh))
         stamp[fresh] = order
         fresh = fresh[stamp[fresh] == order]
-        tx_flood = np.searchsorted(offsets, fresh, side="right") - 1
-        tx_rows = fresh - shift[tx_flood]
-        tx_x, tx_y = index.points[tx_rows, 0], index.points[tx_rows, 1]
-        tx_delta = slot_delta[fresh]
+        tx_flood = offsets.searchsorted(fresh, side="right") - 1
+        tx_shift = shift[tx_flood]
+        pos = fresh - tx_shift
+        tx_x, tx_y = index.sorted_x[pos], index.sorted_y[pos]
+        # without aiming errors node_delta is all zeros
+        tx_delta = node_delta[index.order[pos] + tx_shift] if eps > 0.0 else node_delta[:len(pos)]
 
     return BatchOutcome(offsets=offsets, covered=covered, first_hop=first_hop,
-                        per_round=np.array(per_round).reshape(-1, n_floods))
+                        per_round=np.array(per_round).reshape(-1, n_floods),
+                        order=index.order, base=field_start[field_of])
 
 
 def propagate(scenario: Scenario, rng: np.random.Generator | None = None) -> BroadcastOutcome:

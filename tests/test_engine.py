@@ -6,9 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from sectorcast import engine
 from sectorcast.engine import (
     BOX_SLACK,
     FULL_CIRCLE,
+    NEAR,
     SOURCE_ID,
     GridIndex,
     aim_vectors,
@@ -327,9 +329,13 @@ def batched_hits(index, apexes, axes, half_angle, groups=None):
     cos_half = np.full(len(xs), FULL_CIRCLE if half_angle >= math.pi else math.cos(half_angle))
     box_half = min(half_angle + BOX_SLACK, math.pi)
     wide = np.array([np.full(len(xs), math.cos(box_half)), np.full(len(xs), math.sin(box_half))])
+    # slots are sorted positions: no shift, nothing covered, exact axes
+    shift = np.zeros(len(xs), np.int64)
+    covered = np.zeros(len(index.order), bool)
     found = [set() for _ in apexes]
-    for owner, ids in sector_hits(index, xs, ys, ux, uy, groups, cos_half, wide):
-        for o, i in zip(owner.tolist(), ids.tolist()):
+    for owner, slots in sector_hits(index, xs, ys, ux, uy, groups, cos_half, wide, shift,
+                                    covered, lambda k: (ux[k], uy[k])):
+        for o, i in zip(owner.tolist(), index.order[slots].tolist()):
             found[o].add(i)
     return found
 
@@ -488,6 +494,110 @@ def test_aim_vectors_use_scalar_math():
     ux, uy = aim_vectors(np.array([3.0]), np.array([4.0]), np.array([3.0]), np.array([4.0]),
                          np.zeros(1))
     assert (ux.tolist(), uy.tolist()) == ([1.0], [0.0])
+
+
+def test_vector_axes_stay_within_near_of_scalar_axes():
+    # pairs within NEAR of a sector's edge are decided again with the
+    # scalar axes; that is exact only while the vector axes stay far inside
+    # NEAR of them, so a numpy with worse trig must fail here, not drift
+    rng = np.random.default_rng(12)
+    dx = rng.uniform(-5000, 5000, 20000)
+    dy = rng.uniform(-5000, 5000, 20000)
+    differ = np.arctan2(dy, dx) != np.array([math.atan2(b, a) for a, b in zip(dx, dy)])
+    assert differ.sum() > 1000
+    rng = np.random.default_rng(14)
+    n, k = 100_000, 10_000
+    xs, ys = rng.uniform(-3000, 3000, (2, n))
+    to_x, to_y = rng.uniform(-3000, 3000, (2, n))
+    to_x[:k] = xs[:k]                       # straight up or down
+    to_y[k:2 * k] = ys[k:2 * k]             # straight left or right
+    to_x[2 * k:3 * k], to_y[2 * k:3 * k] = xs[2 * k:3 * k], ys[2 * k:3 * k]  # coincident
+    # straight left, on both sides of the +-pi branch cut
+    to_x[3 * k:4 * k] = xs[3 * k:4 * k] - rng.uniform(1e-9, 3000, k)
+    ys[3 * k:4 * k] = 0.0
+    to_y[3 * k:4 * k] = rng.choice([-1e-300, -0.0, 0.0, 1e-300], k)
+    xs[:50], ys[:50], to_x[:50], to_y[:50] = 0.0, 0.0, -0.0, -0.0  # coincident, signed zeros
+    deltas = rng.uniform(-math.pi, math.pi, n)
+    deltas[4 * k:5 * k] = rng.choice([-math.pi, math.pi, math.nextafter(math.pi, 0.0),
+                                      math.nextafter(-math.pi, 0.0)], k)
+    deltas[5 * k:6 * k] = rng.choice([-1.0, 1.0], k) * rng.uniform(math.pi - 1e-6, math.pi, k)
+    pinned = np.zeros(int(differ.sum()))    # the pairs where np.arctan2 is not libm's
+    xs, ys = np.concatenate((pinned, xs)), np.concatenate((pinned, ys))
+    to_x, to_y = np.concatenate((dx[differ], to_x)), np.concatenate((dy[differ], to_y))
+    deltas = np.concatenate((pinned, deltas))
+    ux, uy = aim_vectors(xs, ys, to_x, to_y, deltas)
+    vx, vy = engine._vector_axes(to_x - xs, to_y - ys, deltas)
+    assert max(np.abs(vx - ux).max(), np.abs(vy - uy).max()) <= NEAR / 1000
+
+
+def edge_ray_scenes():
+    """Scenes whose nodes lie on both edge rays of the source's sector, with
+    destinations at exactly r and, under an aiming error of a half-angle,
+    on an edge ray."""
+    scenes = []
+    for apex in ((0.0, 0.0), (1000.3, 777.7)):
+        for theta_deg in (10.0, 60.0, 90.0, 120.0):
+            half = math.radians(theta_deg) / 2.0
+            for dest in ((200.0, 0.0), (120.0, 160.0), (-120.0, -160.0), (0.0, 500.0)):
+                for err in (0.0, half, -half):
+                    bearing = math.atan2(dest[1], dest[0]) % TWO_PI
+                    nodes = [(apex[0] + rho * math.cos(bearing + err + side * half),
+                              apex[1] + rho * math.sin(bearing + err + side * half))
+                             for side in (-1.0, 1.0) for rho in np.linspace(10.0, 200.0, 12)]
+                    dest_at = (apex[0] + dest[0], apex[1] + dest[1])
+                    # eps only turns the aiming stream on: FixedAim hands out err
+                    scenes.append((make_scenario(nodes, apex, dest_at, theta_deg=theta_deg,
+                                                 eps=math.pi), FixedAim(err)))
+    return scenes
+
+
+def test_pairs_near_a_sector_edge_are_decided_with_scalar_axes(monkeypatch):
+    # vector axes turned by +-1e-12 rad put the nodes on the edge rays on
+    # the wrong side of them; the scalar re-decision must undo every flip
+    scenes = edge_ray_scenes()
+    wants = [propagate(s, aim) for s, aim in scenes]
+    for want, (s, aim) in zip(wants, scenes):
+        oracle = brute_force_flood(s, aim)
+        assert (want.success, want.implicated, want.covered, want.per_round_transmitters) == (
+            oracle["success"], oracle["implicated"], oracle["covered"],
+            oracle["per_round_transmitters"])
+    vector_axes = engine._vector_axes
+    for turn in (1e-12, -1e-12):
+        def turned(dx, dy, deltas, turn=turn):
+            ux, uy = vector_axes(dx, dy, deltas)
+            return ux - turn * uy, uy + turn * ux
+        monkeypatch.setattr(engine, "_vector_axes", turned)
+        batch = propagate_batch([s for s, _ in scenes], [aim for _, aim in scenes])
+        for b, (want, (s, aim)) in enumerate(zip(wants, scenes)):
+            assert batch.outcome(b) == want == propagate(s, aim), (turn, b)
+    assert {w.success for w in wants} == {True, False}
+
+
+def test_batch_slots_follow_the_index_order():
+    # covered holds each flood's slots in the index's sort order; outcome(b)
+    # must map them back to node ids for fields of any size, an empty one,
+    # and floods that share a field
+    base = ScenarioConfig(square_side=900.0, radius=180.0, theta=math.radians(100.0),
+                          sd_distance=500.0)
+    fields = [generate(replace(base, n_nodes=n, seed=20 + n)).nodes for n in (150, 0, 40, 300)]
+    scenarios = []
+    for k, nodes in enumerate(fields):
+        for theta_deg in ((80.0, 200.0) if k == 3 else (120.0,)):  # two floods share field 3
+            cfg = replace(base, n_nodes=len(nodes), theta=math.radians(theta_deg), seed=k)
+            scenarios.append(Scenario(nodes, *endpoint_positions(cfg), cfg))
+    batch = propagate_batch(scenarios)
+    assert len(batch.offsets) == len(scenarios) + 1
+    for b, scenario in enumerate(scenarios):
+        want = brute_force_flood(scenario)
+        got = batch.outcome(b)
+        lo, hi = batch.offsets[b], batch.offsets[b + 1]
+        assert hi - lo == len(scenario.nodes)
+        assert int(batch.covered[lo:hi].sum()) == len(got.covered - {len(scenario.nodes)})
+        assert (got.success, got.first_delivery_hop, got.implicated, got.covered, got.rounds,
+                got.per_round_transmitters) == (
+            want["success"], want["first_delivery_hop"], want["implicated"], want["covered"],
+            want["rounds"], want["per_round_transmitters"]), b
+    assert {len(batch.outcome(b).covered) > 0 for b in range(len(scenarios))} == {True, False}
 
 
 def test_leaf_confinement_inflated_by_radius():
