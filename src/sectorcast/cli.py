@@ -115,11 +115,13 @@ def cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
     atomic_write_text(out_path, configio.results_csv_text(results, spec.base, spec))
     print(f"{len(results)} cells x {spec.trials} trials in {elapsed:.1f} s "
           f"-> {out_path}")
-    errors = [abs(r.model_relative_error) for r in results
-              if r.model_relative_error is not None]
-    if errors:
-        print(f"max |model relative error| over {len(errors)} "
-              f"model-eligible cells: {max(errors):.4f}")
+    eligible = [r for r in results if r.model_relative_error is not None]
+    if eligible:
+        worst = max(eligible, key=lambda r: abs(r.model_relative_error))
+        print(f"max |model relative error| over {len(eligible)} "
+              f"model-eligible cells: {abs(worst.model_relative_error):.4f} "
+              f"(theta {math.degrees(worst.theta):g} deg, N {worst.n_nodes}, "
+              f"d {worst.sd_distance:g} m, success rate {worst.success_rate:g})")
     return EXIT_OK
 
 

@@ -87,7 +87,7 @@ class GridIndex:
         points = np.asarray(points, dtype=float).reshape(-1, 2)
         self.radius = radius
         n = len(points)
-        xy = np.ascontiguousarray(points.T)  # fast reductions along each coordinate
+        xy = np.array(points.T, order="C")  # a copy: fast reductions along each coordinate
         groups = np.asarray(groups)
         self._ngroups = int(groups.max(initial=-1)) + 1
         origin, top = ((xy.min(axis=1, keepdims=True), xy.max(axis=1, keepdims=True)) if n
@@ -97,14 +97,20 @@ class GridIndex:
         self._cell = max(radius / 3.0, extent / math.sqrt(4.0 * n / self._ngroups) if n else 0.0)
         # 32-bit cells and keys sort faster: a cell coordinate is below
         # 2 * sqrt(points) + 1 and size about 4 * points + groups
-        cells = ((xy - origin) / self._cell).astype(np.int32)
+        xy -= origin  # in place: xy is the build's one float temporary
+        xy /= self._cell
+        cells = xy.astype(np.int32)
         self._ncols, self._nrows = (cells.max(axis=1, initial=0) + 1).tolist()
         size = self._ngroups * self._ncols * self._nrows
         key = groups.astype(np.int32 if size < 2**31 else np.int64)
         ids = (key * self._ncols + cells[0]) * self._nrows + cells[1]
+        del xy, cells, key  # freed before the start table and gathers, where the build peaks
         self.order = np.argsort(ids)
-        self.start = np.concatenate(([0], np.cumsum(np.bincount(ids, minlength=size))))
-        self.sorted_x, self.sorted_y = xy.take(self.order, axis=1)
+        ids += 1  # start[k + 1] counts the points in cells up to k
+        self.start = np.bincount(ids, minlength=size + 1)
+        self.start.cumsum(out=self.start)
+        del ids
+        self.sorted_x, self.sorted_y = (points[:, k].take(self.order) for k in (0, 1))
         # query boxes are (4, queries) rows: low x, low y, high x, high y
         self._origin = np.tile(origin, (2, 1))
         self._clip = np.array([[0, 0, -1, -1], [self._ncols, self._nrows, self._ncols - 1,
@@ -317,7 +323,8 @@ def propagate_batch(scenarios: Sequence[Scenario],
     shift = offsets[:-1] - field_start[field_of]
 
     eps = cfg.direction_error_bound
-    node_delta = np.zeros(offsets[-1])  # in node order: node i of flood b at offsets[b] + i
+    # in node order, node i of flood b at offsets[b] + i; empty without aiming errors
+    node_delta = np.zeros(offsets[-1] if eps > 0.0 else 0)
     src_delta = np.zeros(n_floods)
     if eps > 0.0:
         default_draws = {}
@@ -343,7 +350,8 @@ def propagate_batch(scenarios: Sequence[Scenario],
     dest_x = np.array([s.destination.x for s in scenarios])
     dest_y = np.array([s.destination.y for s in scenarios])
     covered = np.zeros(offsets[-1], dtype=bool)
-    stamp = np.zeros(offsets[-1], dtype=np.int64)
+    # a chunk hits at most ROUND_CHUNK plus one field's nodes, well below 2^31
+    stamp = np.zeros(offsets[-1], dtype=np.int32)
     first_hop = np.zeros(n_floods, dtype=np.int64)
     per_round = []
 
@@ -371,18 +379,18 @@ def propagate_batch(scenarios: Sequence[Scenario],
         for _, slots in sector_hits(index, tx_x, tx_y, ux, uy, field_of[tx_flood], tx_cos,
                                     tx_wide, tx_shift, covered, exact):
             covered[slots] = True
-            fresh.append(slots)
+            # one entry per slot: a slot hit twice in a chunk keeps its last
+            # entry, and a later chunk drops it as covered
+            order = np.arange(len(slots), dtype=np.int32)
+            stamp[slots] = order
+            fresh.append(slots[stamp[slots] == order])
         fresh = np.concatenate(fresh)
-        # one entry per slot: a slot hit twice in a chunk keeps its last entry
-        order = np.arange(len(fresh))
-        stamp[fresh] = order
-        fresh = fresh[stamp[fresh] == order]
         tx_flood = offsets.searchsorted(fresh, side="right") - 1
         tx_shift = shift[tx_flood]
         pos = fresh - tx_shift
         tx_x, tx_y = index.sorted_x[pos], index.sorted_y[pos]
-        # without aiming errors node_delta is all zeros
-        tx_delta = node_delta[index.order[pos] + tx_shift] if eps > 0.0 else node_delta[:len(pos)]
+        # without aiming errors every delta is zero
+        tx_delta = node_delta[index.order[pos] + tx_shift] if eps > 0.0 else np.zeros(len(pos))
 
     return BatchOutcome(offsets=offsets, covered=covered, first_hop=first_hop,
                         per_round=np.array(per_round).reshape(-1, n_floods),

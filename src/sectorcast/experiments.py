@@ -3,13 +3,16 @@
 A cell is one (theta, n_nodes, sd_distance) configuration run for a number
 of independent trials; a sweep is the cross product of value lists.  Trial
 t of a cell reseeds the config with derive_seed(seed, t), and the field
-depends only on that seed and n_nodes, so every cell of a sweep with the
-same n_nodes floods the same field in trial t.  A sweep therefore runs in
-units of (cells with one n_nodes, trial range): a unit derives each trial
-seed once, generates each field once and floods all its cells' trials in
-one lockstep batch.  Results are reproducible and independent of execution
-order: neither the units nor optional process-level parallelism change
-anything but wall time.
+depends only on that seed and n_nodes.  With fixed placement the field at
+N is the first N rows of the field at any larger N, so trial t of every
+cell of a sweep floods a prefix of one field; a Poisson field need not be
+a prefix of a larger one, so there only the cells with one n_nodes share it.
+A sweep therefore runs in units of (cells sharing a field draw, trial
+range): a unit derives each trial seed once, generates each field once, at
+its largest n_nodes, and floods all its cells' trials in one lockstep
+batch.  Results are reproducible and independent of execution order:
+neither the units nor optional process-level parallelism change anything
+but wall time.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ import numpy as np
 # propagate stays importable here: trace tools wrap experiments.propagate
 from .engine import propagate, propagate_batch  # noqa: F401
 from .leafmodel import build_leaf, predicted_ratio, relative_error
-from .scenario import (ConfigError, Scenario, ScenarioConfig, derive_seed, endpoint_positions,
-                       generate)
+from .scenario import (ConfigError, Placement, Scenario, ScenarioConfig, derive_seed,
+                       endpoint_positions, generate)
 
 logger = logging.getLogger(__name__)
 
@@ -36,8 +39,9 @@ DEFAULT_TRIALS = 500
 MAX_TRIALS = 100_000
 
 # A unit floods as many cells and trials in lockstep as fit in this many
-# flood slots, cells x trials x (n_nodes + 1) (at least one cell and trial).
-BATCH_ROWS = 1 << 17
+# flood slots, trials x sum(n_nodes + 1) over its cells (at least one cell
+# and trial).
+BATCH_ROWS = 1 << 18
 
 # Default evaluation grid: theta 22.5..135 degrees, N 1000..3000, d 1000..3000 m.
 DEFAULT_THETA_GRID_DEG = (22.5, 45.0, 67.5, 90.0, 112.5, 135.0)
@@ -116,35 +120,54 @@ def _even_cuts(total: int, most: int) -> list[tuple[int, int]]:
 def _units(cells: list[ScenarioConfig], trials: int) -> list[tuple[list[int], int, int]]:
     """(cell positions, first, stop) sweep units.
 
-    The cells with one n_nodes form a group that shares each trial's field;
-    a group is cut into near-equal chunks of cells and trial ranges so that
-    each unit holds at most BATCH_ROWS flood slots.
+    The cells that share each trial's field draw form a group: every cell
+    with fixed placement, or the Poisson cells with one n_nodes.  A group is
+    packed, in cell order, into chunks of at most BATCH_ROWS flood slots a
+    trial, sum(n_nodes + 1) over the chunk's cells (at least one cell), and
+    a chunk's trials are cut into near-equal ranges so that each unit holds
+    at most BATCH_ROWS slots (at least one trial).
     """
     groups: dict[int, list[int]] = {}
     for pos, cfg in enumerate(cells):
-        groups.setdefault(cfg.n_nodes, []).append(pos)
+        key = cfg.n_nodes if cfg.placement is Placement.POISSON_COUNT else -1
+        groups.setdefault(key, []).append(pos)
     units = []
-    for n_nodes, members in groups.items():
-        for a, b in _even_cuts(len(members), BATCH_ROWS // (n_nodes + 1)):
-            units += [(members[a:b], first, stop) for first, stop
-                      in _even_cuts(trials, BATCH_ROWS // ((b - a) * (n_nodes + 1)))]
+    for members in groups.values():
+        chunks = []  # [cell positions, slots a trial]
+        for pos in members:
+            slots = cells[pos].n_nodes + 1
+            if not chunks or chunks[-1][1] + slots > BATCH_ROWS:
+                chunks.append([[], 0])
+            chunks[-1][0].append(pos)
+            chunks[-1][1] += slots
+        units += [(chunk, first, stop) for chunk, slots in chunks
+                  for first, stop in _even_cuts(trials, BATCH_ROWS // slots)]
     return units
 
 
 def _run_unit(configs: list[ScenarioConfig], first: int,
               stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Trials first..stop-1 of cells sharing n_nodes and base seed: (success,
-    implicated ratio, hops-or-0) arrays of shape (cells, trials)."""
+    """Trials first..stop-1 of cells sharing a base seed and a field draw:
+    (success, implicated ratio, hops-or-0) arrays of shape (cells, trials).
+
+    Each trial's field is generated once, at the cells' largest n_nodes; a
+    cell with fewer nodes floods a view of its first n_nodes rows, made once
+    per (trial, n_nodes), so the floods of one n_nodes share an index group.
+    """
     ends = [endpoint_positions(cfg) for cfg in configs]  # independent of the seed
+    top = max(range(len(configs)), key=lambda k: configs[k].n_nodes)
+    most = configs[top].n_nodes
+    sizes = {cfg.n_nodes for cfg in configs}
     scenarios = []
     for t in range(first, stop):
         seed = derive_seed(configs[0].seed, t)
         trial = [replace(cfg, seed=seed) for cfg in configs]
-        nodes = generate(trial[0]).nodes
-        scenarios += [Scenario(nodes, *end, cfg) for end, cfg in zip(ends, trial)]
+        nodes = generate(trial[top]).nodes
+        views = {n: nodes if n == most else nodes[:n] for n in sizes}
+        scenarios += [Scenario(views[cfg.n_nodes], *end, cfg) for end, cfg in zip(ends, trial)]
     flood = propagate_batch(scenarios)
     shape = (stop - first, len(configs))
-    ratio = flood.implicated / (configs[0].n_nodes + 1)
+    ratio = flood.implicated.reshape(shape) / [cfg.n_nodes + 1 for cfg in configs]
     return tuple(a.reshape(shape).T for a in (flood.reached, ratio, flood.first_hop))
 
 

@@ -262,6 +262,29 @@ def test_sweep_csv_matches_library_results(tmp_path, config_file):
         assert row["model_relative_error"] == res.model_relative_error
 
 
+@pytest.mark.parametrize("command, n_values, tail", [
+    ("sweep", "60, 300", "4 model-eligible cells: 3.9895 "
+                         "(theta 90 deg, N 60, d 600 m, success rate 0)"),
+    ("compare", "300", "2 model-eligible cells: 0.4549 "
+                       "(theta 45 deg, N 300, d 600 m, success rate 0.666667)"),
+])
+def test_summary_names_the_worst_model_cell(tmp_path, config_file, capsys, command, n_values,
+                                            tail):
+    # the largest |model relative error| comes with its cell and that cell's
+    # success rate, since a cell with no success does not test the model
+    out = tmp_path / "worst.csv"
+    assert run_cli(command, "--config", config_file, "--set", f"sweep.n_nodes={n_values}",
+                   "--out", str(out)) == 0
+    rows = [r for r in read_results_csv(str(out)) if r["model_relative_error"] is not None]
+    worst = max(rows, key=lambda r: abs(r["model_relative_error"]))
+    line = capsys.readouterr().out.splitlines()[-1]
+    assert line == (f"max |model relative error| over {len(rows)} model-eligible cells: "
+                    f"{abs(worst['model_relative_error']):.4f} (theta {worst['theta_deg']:g} deg, "
+                    f"N {worst['n_nodes']}, d {worst['d_m']:g} m, "
+                    f"success rate {worst['success_rate']:g})")
+    assert line == "max |model relative error| over " + tail
+
+
 def test_sweep_rerun_byte_identical(tmp_path, config_file):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

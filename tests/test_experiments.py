@@ -230,16 +230,72 @@ def test_batches_match_per_trial_propagate(monkeypatch, workers):
     for cfg in cells:
         rows = trial_rows(cfg, 7)
         assert same_cells([run_cell(cfg, trials=7, workers=workers)], [summary_of(cfg, rows)])
-    # mixed theta (one of them 360 deg) and d (one <= r) in units that share
-    # each trial's field; N 60's four cells need two chunks of two
+    # mixed theta (one of them 360 deg), N and d (one <= r) in units that
+    # share each trial's field, N 30 flooding prefixes of N 60's: packed in
+    # cell order, three cells hold 123 slots a trial and a fourth would not fit
     spec = SweepSpec(base=replace(base, radius=650.0),
                      theta_values=(math.radians(45.0), 2 * math.pi),
                      n_values=(30, 60), d_values=(600.0, 800.0), trials=5)
     cells = spec.cells()
     units = experiments._units(cells, 5)
-    assert [chunk for chunk, _, _ in units] == [[0, 1, 4, 5]] * 5 + [[2, 3]] * 5 + [[6, 7]] * 5
+    assert [chunk for chunk, _, _ in units] == [[0, 1, 2]] * 5 + [[3, 4, 5]] * 5 + [[6, 7]] * 5
+    assert [sum(cells[pos].n_nodes + 1 for pos in chunk) * (stop - first)
+            for chunk, first, stop in units] == [123] * 10 + [122] * 5
     want = [summary_of(cfg, trial_rows(cfg, 5)) for cfg in cells]
     assert same_cells(run_sweep(spec, workers=workers), want)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mixed_n_sweeps_match_per_cell_trials(monkeypatch, workers):
+    # a fixed sweep floods prefixes of each trial's field at its largest N:
+    # N 0, 25 and 60 cells, packed by a small budget into chunks that mix N,
+    # must give each cell's own per-trial rows
+    monkeypatch.setattr(experiments, "BATCH_ROWS", 150)
+    spec = SweepSpec(base=small_config(seed=3), theta_values=(math.radians(45.0), 2 * math.pi),
+                     n_values=(0, 25, 60), d_values=(600.0, 800.0), trials=4)
+    cells = spec.cells()
+    units = experiments._units(cells, 4)
+    assert [chunk for chunk, _, _ in units] == ([[0, 1, 2, 3, 4]] * 4 + [[5, 6, 7, 8, 9]] * 4
+                                                 + [[10, 11]] * 4)
+    want = [summary_of(cfg, trial_rows(cfg, 4)) for cfg in cells]
+    assert same_cells(run_sweep(spec, workers=workers), want)
+    # Poisson fields are drawn per N: trial 0's field at N 30 is no prefix
+    # of the one at N 60 (test_scenario.py)
+    spec = replace(spec, base=replace(spec.base, placement=Placement.POISSON_COUNT),
+                   n_values=(30, 60))
+    cells = spec.cells()
+    assert {tuple(cells[pos].n_nodes for pos in chunk)
+            for chunk, _, _ in experiments._units(cells, 4)} == {(30,) * 4, (60,) * 2}
+    want = [summary_of(cfg, trial_rows(cfg, 4)) for cfg in cells]
+    assert same_cells(run_sweep(spec, workers=workers), want)
+
+
+@pytest.mark.parametrize("placement, fields", [
+    (Placement.FIXED_COUNT, [60]),
+    (Placement.POISSON_COUNT, [20, 40, 60]),
+])
+def test_sweeps_draw_each_field_once(monkeypatch, placement, fields):
+    # a fixed sweep derives each trial seed once and generates one field, at
+    # its largest N; a Poisson sweep does both once per (trial, N)
+    seeds, sizes = [], []
+    real_derive, real_generate = experiments.derive_seed, experiments.generate
+
+    def derive_seed(base, trial):
+        seeds.append(trial)
+        return real_derive(base, trial)
+
+    def generate(cfg):
+        sizes.append(cfg.n_nodes)
+        return real_generate(cfg)
+
+    monkeypatch.setattr(experiments, "derive_seed", derive_seed)
+    monkeypatch.setattr(experiments, "generate", generate)
+    spec = SweepSpec(base=small_config(placement=placement),
+                     theta_values=(math.radians(45.0), math.radians(90.0)),
+                     n_values=(20, 40, 60), d_values=(600.0, 800.0), trials=6)
+    run_sweep(spec)
+    assert sorted(seeds) == sorted(list(range(6)) * len(fields))
+    assert sorted(sizes) == sorted(fields * 6)
 
 
 def recording_pool(monkeypatch, run=None):
@@ -292,8 +348,8 @@ def test_workers_clamped_to_cpus_and_trials(monkeypatch):
 
 
 def test_units_fit_slot_budget(monkeypatch):
-    # 60 theta x 3 d cells at N 3000 hold 540,180 slots a trial: the group is
-    # cut into chunks of cells, every unit within BATCH_ROWS slots
+    # 60 theta x 3 d cells at N 3000 hold 540,180 slots a trial: the cells
+    # are packed into chunks of at most 87, every unit within BATCH_ROWS slots
     def no_flood(fn, configs, first, stop):
         shape = (len(configs), stop - first)
         return np.zeros(shape, bool), np.ones(shape), np.zeros(shape, np.int64)
@@ -305,10 +361,10 @@ def test_units_fit_slot_budget(monkeypatch):
                      n_values=(3000,), d_values=(1000.0, 2000.0, 3000.0), trials=7)
     results = run_sweep(spec, workers=2)
     assert len(results) == 180 and all(r.trials == 7 for r in results)
-    assert all(len(configs) < 180 for configs, _, _ in pool.units)
+    assert [len(configs) for configs, _, _ in pool.units] == [87] * 14 + [6]
     seen = {}
     for configs, first, stop in pool.units:
-        assert len(configs) * (stop - first) * 3001 <= experiments.BATCH_ROWS
+        assert sum(cfg.n_nodes + 1 for cfg in configs) * (stop - first) <= experiments.BATCH_ROWS
         for cfg in configs:
             seen.setdefault((cfg.theta, cfg.sd_distance), []).extend(range(first, stop))
     assert len(seen) == 180 and all(trials == list(range(7)) for trials in seen.values())

@@ -128,3 +128,22 @@ def test_derive_seed_is_stable_and_spreads():
     assert len(set(trials)) == 100
     assert all(0 <= s < 2**64 for s in trials)
     assert derive_seed(42, 0) != derive_seed(43, 0)
+
+
+def test_fixed_fields_are_prefixes_of_larger_fields():
+    # sweeps flood the first N rows of each trial's field at their largest N
+    for t in range(400):
+        seed = derive_seed(7, t)
+        big = generate(make_config(n_nodes=3000, seed=seed)).nodes
+        for n in (0, 1, 999, 1000, 2000):
+            assert generate(make_config(n_nodes=n, seed=seed)).nodes.tobytes() == big[:n].tobytes()
+
+
+def test_poisson_fields_are_not_always_prefixes():
+    # rng.poisson consumes a share of the stream that depends on the mean,
+    # so sweeps draw each Poisson N's field on its own
+    seed = derive_seed(3, 0)
+    small, big = (generate(make_config(n_nodes=n, seed=seed,
+                                       placement=Placement.POISSON_COUNT)).nodes for n in (30, 60))
+    assert len(small) <= len(big)
+    assert small.tobytes() != big[:len(small)].tobytes()
