@@ -105,7 +105,12 @@ class GridIndex:
         key = groups.astype(np.int32 if size < 2**31 else np.int64)
         ids = (key * self._ncols + cells[0]) * self._nrows + cells[1]
         del xy, cells, key  # freed before the start table and gathers, where the build peaks
-        self.order = np.argsort(ids)
+        # sorting ids << s | position (2^s > n) is argsort(ids, kind="stable"); keys stay
+        # below size * 2n < 2^63 while size and n are below 2^31 (a 16 GB start table)
+        s = n.bit_length()
+        self.order = (ids.astype(np.int64) << s) | np.arange(n)
+        self.order.sort()
+        self.order &= (1 << s) - 1
         ids += 1  # start[k + 1] counts the points in cells up to k
         self.start = np.bincount(ids, minlength=size + 1)
         self.start.cumsum(out=self.start)
@@ -199,16 +204,18 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray
     run_shift = shift[query]
     lo, hi = lo + run_shift, hi + run_shift  # runs of slots
     r2 = index.radius * index.radius
+    # index arrays and take: boolean masks and fancy indexing cost 2-4x more per pair
     for a, b in zip((0, *cuts), (*cuts, len(lo))):
         slots = index.candidates(lo[a:b], hi[a:b])
-        live = ~covered[slots]
-        owner = query[a:b].repeat(hi[a:b] - lo[a:b])[live]
-        slots = slots[live]
-        pos = slots - shift[owner]
-        c = cos_half[owner] if np.ndim(cos_half) else cos_half
-        ok = _in_sectors(index.sorted_x[pos] - xs[owner], index.sorted_y[pos] - ys[owner],
-                         ux[owner], uy[owner], r2, c, lambda k: exact(owner[k]))
-        yield owner[ok], slots[ok]
+        live = np.flatnonzero(~covered.take(slots))
+        owner = query[a:b].repeat(hi[a:b] - lo[a:b]).take(live)
+        slots = slots.take(live)
+        pos = slots - shift.take(owner)
+        c = cos_half.take(owner) if np.ndim(cos_half) else cos_half
+        hit = np.flatnonzero(_in_sectors(
+            index.sorted_x.take(pos) - xs.take(owner), index.sorted_y.take(pos) - ys.take(owner),
+            ux.take(owner), uy.take(owner), r2, c, lambda k: exact(owner.take(k))))
+        yield owner.take(hit), slots.take(hit)
 
 
 def _vector_axes(dx: np.ndarray, dy: np.ndarray,
@@ -233,8 +240,7 @@ def aim_vectors(xs: np.ndarray, ys: np.ndarray, dest_x: np.ndarray, dest_y: np.n
     _vector_axes and calls this only for pairs near a sector's edge.
     """
     ddx, ddy = dest_x - xs, dest_y - ys
-    axes = np.fromiter(map(math.atan2, ddy.tolist(), ddx.tolist()), float, len(ddx))
-    axes[(ddx == 0.0) & (ddy == 0.0)] = 0.0
+    axes = np.fromiter(map(math.atan2, ddy.tolist(), (ddx + 0.0).tolist()), float, len(ddx))
     axes = np.mod(np.mod(axes, math.tau) + deltas, math.tau).tolist()
     return (np.fromiter(map(math.cos, axes), float, len(axes)),
             np.fromiter(map(math.sin, axes), float, len(axes)))
@@ -372,8 +378,8 @@ def propagate_batch(scenarios: Sequence[Scenario],
         tx_cos, tx_wide = ((cos_half[0], wide[:, 0]) if one_beam
                            else (cos_half[tx_flood], wide[:, tx_flood]))
         # each transmitter tests its own destination as one extra point
-        hit = tx_flood[_in_sectors(dx, dy, ux, uy, r2, tx_cos, exact)]
-        hit = hit[first_hop[hit] == 0]
+        hit = tx_flood.compress(_in_sectors(dx, dy, ux, uy, r2, tx_cos, exact))
+        hit = hit.compress(first_hop.take(hit) == 0)
         first_hop[hit] = len(per_round)
         fresh = []
         for _, slots in sector_hits(index, tx_x, tx_y, ux, uy, field_of[tx_flood], tx_cos,
@@ -383,7 +389,7 @@ def propagate_batch(scenarios: Sequence[Scenario],
             # entry, and a later chunk drops it as covered
             order = np.arange(len(slots), dtype=np.int32)
             stamp[slots] = order
-            fresh.append(slots[stamp[slots] == order])
+            fresh.append(slots.compress(stamp.take(slots) == order))
         fresh = np.concatenate(fresh)
         tx_flood = offsets.searchsorted(fresh, side="right") - 1
         tx_shift = shift[tx_flood]

@@ -313,14 +313,46 @@ def test_batch_matches_brute_force_at_box_switch_points():
     assert delivered == {True, False}
 
 
+@pytest.mark.parametrize("chunk", [1, 5, 64, engine.ROUND_CHUNK])
+def test_outcomes_do_not_depend_on_round_chunk(monkeypatch, chunk):
+    # a round's candidate runs are cut into chunks of about ROUND_CHUNK
+    # pairs, and a slot hit in one chunk drops out of the next as covered;
+    # wherever the cuts fall, floods over shared fields, row-prefix views of
+    # them and aimed with errors must stay the oracle's
+    monkeypatch.setattr(engine, "ROUND_CHUNK", chunk)
+    base = ScenarioConfig(square_side=700.0, radius=180.0, sd_distance=150.0)
+    delivered = set()
+    for eps_deg in (0.0, 10.0):
+        scenarios = []
+        for seed in (31, 32):
+            cfg = replace(base, n_nodes=70, seed=seed, direction_error_bound=math.radians(eps_deg))
+            scenarios += shared_field(cfg, (45.0, 135.0, 360.0), (150.0, 600.0))
+            nodes = scenarios[-1].nodes
+            for n in (0, 25):  # a view of the first n rows is its own index group
+                cell = replace(cfg, n_nodes=n, theta=math.radians(120.0), sd_distance=500.0)
+                scenarios.append(Scenario(nodes[:n], *endpoint_positions(cell), cell))
+        batch = propagate_batch(scenarios)
+        for b, scenario in enumerate(scenarios):
+            aim = np.random.default_rng(np.random.SeedSequence((scenario.config.seed, 1)))
+            want = brute_force_flood(scenario, aim)
+            got = batch.outcome(b)
+            assert (got.success, got.first_delivery_hop, got.implicated, got.covered,
+                    got.rounds, got.per_round_transmitters) == (
+                want["success"], want["first_delivery_hop"], want["implicated"],
+                want["covered"], want["rounds"], want["per_round_transmitters"]), (eps_deg, b)
+            delivered.add(got.success)
+    assert delivered == {True, False}
+
+
 def scan(pts, s, members=None):
     return {i for i, (x, y) in enumerate(pts)
             if (members is None or i in members) and in_sector(Point2D(x, y), s)}
 
 
-def batched_hits(index, apexes, axes, half_angle, groups=None):
+def batched_hits(index, apexes, axes, half_angle, groups=None, covered=None):
     """Hit sets of sectors sharing half_angle and the index's radius, from
-    one batched sector_hits query."""
+    one batched sector_hits query; covered marks sorted positions covered
+    before it (none by default)."""
     xs = np.array([a[0] for a in apexes], dtype=float)
     ys = np.array([a[1] for a in apexes], dtype=float)
     ux = np.array([math.cos(a) for a in axes], dtype=float)
@@ -329,9 +361,9 @@ def batched_hits(index, apexes, axes, half_angle, groups=None):
     cos_half = np.full(len(xs), FULL_CIRCLE if half_angle >= math.pi else math.cos(half_angle))
     box_half = min(half_angle + BOX_SLACK, math.pi)
     wide = np.array([np.full(len(xs), math.cos(box_half)), np.full(len(xs), math.sin(box_half))])
-    # slots are sorted positions: no shift, nothing covered, exact axes
+    # slots are sorted positions: no shift, exact axes
     shift = np.zeros(len(xs), np.int64)
-    covered = np.zeros(len(index.order), bool)
+    covered = np.zeros(len(index.order), bool) if covered is None else covered
     found = [set() for _ in apexes]
     for owner, slots in sector_hits(index, xs, ys, ux, uy, groups, cos_half, wide, shift,
                                     covered, lambda k: (ux[k], uy[k])):
@@ -472,6 +504,65 @@ def test_empty_index_query():
     index = GridIndex(np.zeros((0, 2)), 100.0, np.zeros(0, np.int64))
     assert batched_hits(index, [(0.0, 0.0), (50.0, 5.0)], [0.0, 1.0], 1.0) == [set(), set()]
     assert batched_hits(index, [], [], 1.0) == []
+
+
+def test_sector_hits_drop_slots_covered_before_the_query():
+    # a candidate whose slot is already covered is dropped untested: the
+    # hits are the linear scan's less the covered nodes
+    rng = np.random.default_rng(22)
+    pts = rng.uniform(0, 1000, size=(500, 2))
+    groups = rng.integers(0, 2, size=500)
+    index = GridIndex(pts, 150.0, groups)
+    covered = rng.random(500) < 0.5
+    gone = set(index.order[covered].tolist())
+    dropped = kept = 0
+    for half in (0.3, 1.2, math.pi):
+        apexes = [tuple(a) for a in rng.uniform(0, 1000, size=(60, 2))]
+        axes = rng.uniform(0, 2 * math.pi, 60)
+        query_groups = rng.integers(0, 2, size=60)
+        got = batched_hits(index, apexes, axes, half, query_groups, covered.copy())
+        for k, (apex, axis) in enumerate(zip(apexes, axes)):
+            s = Sector(apex=Point2D(*apex), axis=axis, half_angle=half, radius=150.0)
+            members = set(np.flatnonzero(groups == query_groups[k]).tolist())
+            want = scan(pts, s, members)
+            assert got[k] == want - gone, (apex, axis, half)
+            dropped += len(want & gone)
+            kept += len(got[k])
+    assert dropped and kept
+
+
+def cell_keys(pts, groups, index):
+    """Each point's cell key, (group, column, row) in the index's cells of
+    width index._cell from the points' smallest x and y."""
+    cells = ((pts - pts.min(axis=0)) / index._cell).astype(np.int64)
+    cols, rows = cells.max(axis=0) + 1
+    return (groups * cols + cells[:, 0]) * rows + cells[:, 1]
+
+
+def test_grid_index_order_is_the_stable_argsort_of_cell_keys():
+    # points tied on a cell keep their row order; the start table counts
+    # each cell's points
+    rng = np.random.default_rng(23)
+    clustered = rng.uniform(0, 30, size=(300, 2))  # a few cells, many points each
+    twins = np.repeat(rng.uniform(0, 900, size=(40, 2)), 5, axis=0)  # exact duplicates
+    spread = rng.uniform(0, 5000, size=(2000, 2))
+    cases = [(clustered, np.zeros(300, np.int64)),
+             (clustered, rng.integers(0, 3, 300)),
+             (twins, rng.integers(0, 2, 200)),
+             (spread[:1], np.zeros(1, np.int64)),
+             (spread[:1], np.array([7])),
+             (spread, rng.integers(0, 400, 2000)),  # many groups, some empty
+             (spread, np.sort(rng.integers(0, 5, 2000)))]
+    for pts, groups in cases:
+        index = GridIndex(pts, 200.0, groups)
+        keys = cell_keys(pts, groups, index)
+        assert index.order.dtype == np.intp
+        assert index.order.tolist() == np.argsort(keys, kind="stable").tolist()
+        counts = np.bincount(keys, minlength=len(index.start) - 1)
+        assert index.start.tolist() == [0, *np.cumsum(counts).tolist()]
+    empty = GridIndex(np.zeros((0, 2)), 200.0, np.zeros(0, np.int64))
+    assert empty.order.dtype == np.intp and len(empty.order) == 0
+    assert empty.start.tolist() == [0]
 
 
 def test_aim_vectors_use_scalar_math():
