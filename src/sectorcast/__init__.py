@@ -4,7 +4,6 @@ from .leafmodel import (
     DegenerateLeafError,
     LeafModel,
     build_leaf,
-    chain_vertices,
     next_edge,
     predicted_ratio,
     relative_error,
@@ -39,7 +38,7 @@ from .render import render_svg
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateLeafError", "LeafModel", "build_leaf", "chain_vertices",
+    "DegenerateLeafError", "LeafModel", "build_leaf",
     "next_edge", "predicted_ratio", "relative_error", "triangle_area",
     "ConfigError", "Placement", "Point2D", "Scenario", "ScenarioConfig",
     "derive_seed", "generate",

@@ -145,7 +145,7 @@ def cmd_model(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
             "total area: 0 m^2",
             "predicted implicated ratio: 0",
         ]
-    except ValueError as exc:  # d = 0 or theta = 360 deg: no chain to build
+    except ValueError as exc:  # d = 0, theta = 360 deg or a chain past MAX_TRIANGLES
         raise ConfigError(f"no triangle-chain model for this cell: {exc}") from exc
     else:
         lines.append("edge lengths d_i (m): "

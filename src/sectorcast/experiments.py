@@ -200,12 +200,14 @@ def _summarise(config: ScenarioConfig, success_flags: np.ndarray, ratios: np.nda
 
     model_ratio = None
     model_err = None
-    if config.sd_distance > config.radius and config.theta < 2.0 * math.pi:
+    try:
         model = build_leaf(config.sd_distance, config.radius, config.theta)
-        if not model.non_terminating:
-            model_ratio = predicted_ratio(model, config.square_side)
-            if ratio_mean > 0.0:
-                model_err = relative_error(model_ratio, ratio_mean)
+    except ValueError:  # no chain: d <= r, theta = 360 deg or past MAX_TRIANGLES
+        model = None
+    if model is not None and not model.non_terminating:
+        model_ratio = predicted_ratio(model, config.square_side)
+        if ratio_mean > 0.0:
+            model_err = relative_error(model_ratio, ratio_mean)
 
     return CellResult(
         theta=config.theta,

@@ -16,6 +16,10 @@ from dataclasses import dataclass
 # converged to its fixed point r / (2 cos(theta/2)).
 CONVERGENCE_FACTOR = 1e-6
 
+# Most triangles per side that build_leaf iterates: the chain grows like
+# d / r, and 100,000 triangles take well under a second to build.
+MAX_TRIANGLES = 100_000
+
 
 class DegenerateLeafError(ValueError):
     """Destination already within one hop of the source (d <= r)."""
@@ -28,14 +32,19 @@ class LeafModel:
     d_seq[0] is the source-destination distance; d_seq[i] is the length of
     the edge shared by triangles i and i+1.  areas[i] = 0.5 * r * d_seq[i+1]
     * sin(theta/2) is the area of triangle i+1, and total_area doubles the
-    one-sided sum to cover both half-planes.  non_terminating marks chains
-    whose edge recurrence can never drop below r (fixed point beyond r,
-    i.e. theta > 120 degrees): d_seq then ends at numerical convergence and
-    total_area is a truncation, not a limit.
+    one-sided sum to cover both half-planes.  vertices[i], at distance
+    d_seq[i] from the destination, steps r from vertices[i-1], turned
+    theta/2 outward from its direction to the destination (local frame:
+    destination at the origin, source at (d, 0), chain in the upper
+    half-plane).  non_terminating marks chains whose edge recurrence can
+    never drop below r (fixed point beyond r, i.e. theta > 120 degrees):
+    d_seq then ends at numerical convergence and total_area is a
+    truncation, not a limit.
     """
 
     d_seq: tuple[float, ...]
     areas: tuple[float, ...]
+    vertices: tuple[tuple[float, float], ...]
     n_triangles: int
     total_area: float
     non_terminating: bool = False
@@ -77,60 +86,46 @@ def build_leaf(d: float, r: float, theta: float) -> LeafModel:
     unreachable.
 
     Raises DegenerateLeafError when d <= r: delivery is direct and no relay
-    triangle exists.
+    triangle exists.  Raises ValueError past MAX_TRIANGLES triangles.
     """
     _check_positive(d=d, r=r)
     _check_theta(theta)
     if d <= r:
         raise DegenerateLeafError(f"d={d} <= r={r}: direct delivery, empty chain")
 
-    seq = [d]
-    areas = []
+    cos_half, sin_half = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    seq, areas, verts = [d], [], [(d, 0.0)]
+    vx, vy = verts[0]
     non_terminating = False
-    d_prev = d
-    while True:
+    for _ in range(MAX_TRIANGLES):
+        d_prev = seq[-1]
         d_next = next_edge(d_prev, r, theta)
         seq.append(d_next)
         areas.append(triangle_area(d_next, r, theta))
+        norm = math.hypot(vx, vy)
+        nx, ny = -vx / norm, -vy / norm
+        vx += r * (nx * cos_half + ny * sin_half)
+        vy += r * (-nx * sin_half + ny * cos_half)
+        verts.append((vx, vy))
         if d_next <= r:
             break
         if d_next >= d_prev or (d_prev - d_next) < CONVERGENCE_FACTOR * r:
             # Stalled.  Only a fixed point beyond r makes termination by
             # range impossible; at exactly 120 degrees the fixed point IS r
             # and the truncated sum is the chain's limit, so no flag.
-            non_terminating = math.cos(theta / 2.0) < 0.5
+            non_terminating = cos_half < 0.5
             break
-        d_prev = d_next
+    else:
+        raise ValueError(f"chain passes MAX_TRIANGLES = {MAX_TRIANGLES} triangles per side")
 
     return LeafModel(
         d_seq=tuple(seq),
         areas=tuple(areas),
+        vertices=tuple(verts),
         n_triangles=len(areas),
         total_area=2.0 * math.fsum(areas),
         non_terminating=non_terminating,
     )
-
-
-def chain_vertices(d: float, r: float, theta: float) -> list[tuple[float, float]]:
-    """Chain vertex coordinates, one per d_seq entry.
-
-    Local frame: destination at the origin, source at (d, 0), chain in the
-    upper half-plane.  Each vertex steps distance r from the previous one,
-    rotated theta/2 outward from the previous vertex's direction to the
-    destination, so |vertex i| reproduces d_seq[i].
-    """
-    model = build_leaf(d, r, theta)
-    cos_half = math.cos(theta / 2.0)
-    sin_half = math.sin(theta / 2.0)
-    vx, vy = d, 0.0
-    verts = [(vx, vy)]
-    for _ in range(model.n_triangles):
-        norm = math.hypot(vx, vy)
-        nx, ny = -vx / norm, -vy / norm
-        vx += r * (nx * cos_half + ny * sin_half)
-        vy += r * (-nx * sin_half + ny * cos_half)
-        verts.append((vx, vy))
-    return verts
 
 
 def predicted_ratio(model: LeafModel, square_side: float) -> float:

@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
+from . import leafmodel  # called as leafmodel.build_leaf: trace tools wrap that name
 from .engine import SOURCE_ID, BroadcastOutcome
-from .leafmodel import chain_vertices
 from .scenario import Scenario
 
 _VIEW = 800.0
@@ -32,7 +32,7 @@ def _leaf_polygon(scenario: Scenario) -> list[tuple[float, float]] | None:
     """Leaf outline in field coordinates, or None when there is no chain."""
     cfg = scenario.config
     try:
-        upper = chain_vertices(cfg.sd_distance, cfg.radius, cfg.theta)
+        upper = leafmodel.build_leaf(cfg.sd_distance, cfg.radius, cfg.theta).vertices
     except ValueError:
         return None
     src, dst = scenario.source, scenario.destination

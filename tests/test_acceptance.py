@@ -15,7 +15,7 @@ import pytest
 from sectorcast import cli, configio
 from sectorcast.engine import propagate
 from sectorcast.experiments import SweepSpec, run_sweep
-from sectorcast.leafmodel import build_leaf, chain_vertices
+from sectorcast.leafmodel import build_leaf
 from sectorcast.scenario import ScenarioConfig, generate
 
 from oracles import brute_force_flood, chain_oracle, read_results_csv, shoelace
@@ -204,7 +204,7 @@ def test_criterion_7_analytic_oracles():
         worst_rec = max(worst_rec, max(
             abs(a - b) / b for a, b in zip(model.d_seq, seq)))
         worst_rec = max(worst_rec, abs(model.total_area - total) / total)
-        verts = chain_vertices(d, r, theta)
+        verts = model.vertices
         for k in range(1, len(verts)):
             expect = 0.5 * r * model.d_seq[k - 1] * math.sin(theta / 2.0)
             got = shoelace((0.0, 0.0), verts[k - 1], verts[k])

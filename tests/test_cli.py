@@ -392,6 +392,8 @@ def test_model_degenerate_reports_zero_leaf(capsys):
 @pytest.mark.parametrize("setting, cause", [
     ("theta_deg=360", "theta must be in (0, 2*pi)"),
     ("d=0", "d must be positive"),
+    # about 1e12 triangles: the bound stops the chain in well under a second
+    ("radius=1e-9", "passes MAX_TRIANGLES = 100000 triangles per side"),
 ])
 def test_model_without_chain_is_config_error(capsys, setting, cause):
     assert run_cli("model", "--set", setting) == 2
@@ -434,6 +436,24 @@ def test_snapshot_empty_field(tmp_path):
     svg = out.read_text()
     assert svg.count("<circle") == 2  # endpoints only
     assert "<polygon" not in svg  # no chain when d <= r
+
+
+def test_snapshot_past_the_chain_bound_draws_no_chain(tmp_path):
+    out = tmp_path / "tiny-radius.svg"
+    assert run_cli("snapshot", "--set", "radius=1e-9", "--set", "n_nodes=50",
+                   "--out", str(out)) == 0
+    svg = out.read_text()
+    assert '<g id="chain">\n</g>' in svg and "<polygon" not in svg
+
+
+def test_sweep_past_the_chain_bound_has_empty_model_fields(tmp_path):
+    out = tmp_path / "tiny-radius.csv"
+    assert run_cli("sweep", "--set", "radius=1e-9", "--set", "sweep.theta_deg=90",
+                   "--set", "sweep.n_nodes=50", "--set", "sweep.d=1000",
+                   "--set", "sweep.trials=2", "--out", str(out)) == 0
+    [row] = read_results_csv(str(out))
+    assert row["model_ratio"] is None and row["model_relative_error"] is None
+    assert row["success_rate"] == 0.0
 
 
 # ------------------------------------------------------------------ outputs

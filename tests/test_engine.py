@@ -18,7 +18,7 @@ from sectorcast.engine import (
     propagate_batch,
     sector_hits,
 )
-from sectorcast.leafmodel import chain_vertices
+from sectorcast.leafmodel import build_leaf
 from sectorcast.scenario import (
     Placement,
     Point2D,
@@ -143,6 +143,29 @@ def test_theta_monotonicity_fixed_placement():
                 assert out.success or not prev_success
             prev_covered = out.covered
             prev_success = out.success
+
+
+@pytest.mark.parametrize("eps_deg", [0.0, 10.0])
+def test_floods_nest_in_theta_at_oracle_free_sizes(eps_deg):
+    # floods over one field, d and aiming draw, at a size the oracle cannot
+    # reach: a wider beam implicates every node a narrower one does and
+    # delivers no later.  All in one call, so each flood gathers its own beam.
+    thetas = (22.5, 45.0, 67.5, 90.0, 112.5, 135.0, 360.0)
+    scenarios = []
+    for seed in range(4):
+        cfg = ScenarioConfig(n_nodes=3000, seed=seed, direction_error_bound=math.radians(eps_deg))
+        scenarios += shared_field(cfg, thetas, (1000.0, 2000.0, 3000.0))
+    batch = propagate_batch(scenarios)
+    floods = [batch.outcome(b) for b in range(len(scenarios))]
+    for start in range(0, len(floods), len(thetas)):
+        group = floods[start:start + len(thetas)]
+        for i, narrow in enumerate(group):
+            for wide in group[i + 1:]:
+                assert narrow.implicated <= wide.implicated, (start, i)
+                if narrow.success:
+                    assert wide.success, (start, i)
+                    assert wide.first_delivery_hop <= narrow.first_delivery_hop, (start, i)
+    assert {out.success for out in floods} == {True, False}
 
 
 def test_propagate_deterministic():
@@ -697,7 +720,7 @@ def test_leaf_confinement_inflated_by_radius():
                          theta=math.radians(90.0), sd_distance=1000.0, seed=77)
     scenario = generate(cfg)
     out = propagate(scenario)
-    verts = chain_vertices(cfg.sd_distance, cfg.radius, cfg.theta)
+    verts = build_leaf(cfg.sd_distance, cfg.radius, cfg.theta).vertices
     src, dst = scenario.source, scenario.destination
     ux, uy = (src.x - dst.x) / cfg.sd_distance, (src.y - dst.y) / cfg.sd_distance
     vx, vy = -uy, ux

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from sectorcast import leafmodel
 from sectorcast.leafmodel import (
     DegenerateLeafError,
     build_leaf,
-    chain_vertices,
     next_edge,
     predicted_ratio,
     relative_error,
@@ -126,6 +126,19 @@ def test_build_leaf_wide_angles_terminate():
     assert model.n_triangles >= 1
 
 
+def test_build_leaf_raises_past_max_triangles(monkeypatch):
+    # the 60 deg chain has 5 triangles: at the bound it builds, past it not
+    monkeypatch.setattr(leafmodel, "MAX_TRIANGLES", 5)
+    assert build_leaf(1000.0, 200.0, DEG60).n_triangles == 5
+    monkeypatch.setattr(leafmodel, "MAX_TRIANGLES", 4)
+    with pytest.raises(ValueError, match="MAX_TRIANGLES = 4 triangles"):
+        build_leaf(1000.0, 200.0, DEG60)
+    # a stalled chain counts its triangles too
+    monkeypatch.setattr(leafmodel, "MAX_TRIANGLES", 2)
+    with pytest.raises(ValueError):
+        build_leaf(1000.0, 200.0, math.radians(135.0))
+
+
 def test_d_seq_strictly_decreasing_above_fixed_point():
     rng = np.random.default_rng(5)
     for _ in range(100):
@@ -176,7 +189,7 @@ def test_areas_match_shoelace_reconstruction():
         theta = math.radians(rng.uniform(10, 119))
         d = rng.uniform(r * 1.2, r * 12)
         model = build_leaf(d, r, theta)
-        verts = chain_vertices(d, r, theta)
+        verts = model.vertices
         assert len(verts) == len(model.d_seq)
         dest = (0.0, 0.0)
         # vertex radii reproduce the edge sequence
