@@ -10,13 +10,14 @@ was reached earlier.
 propagate_batch floods many scenarios together: each round tests every
 (transmitter, candidate) pair of every flood in a few numpy passes, where a
 transmitter's candidates are the index's nodes in its sector's bounding
-box.  The index holds nodes only, one group per distinct nodes array, so the
-floods of a sweep trial that differ only in theta and d share one group;
-each flood keeps its own covered slots, laid out in the index's sort order,
-so a candidate run of the index is a run of the flood's slots and covered
-candidates are dropped before any coordinate is gathered.  Each transmitter
-tests its own destination as one extra point.  propagate is the one-flood
-call.
+box.  The index holds nodes only, one group per field: scenarios whose
+nodes are row-prefix views of one array (the cells of a sweep trial, of any
+theta, d and n_nodes) share one group.  Each flood keeps its own covered
+slots, one per row of its group, laid out in the index's sort order, so a
+candidate run of the index is a run of the flood's slots and covered
+candidates are dropped before any coordinate is gathered; the rows past a
+flood's own nodes start covered.  Each transmitter tests its own
+destination as one extra point.  propagate is the one-flood call.
 
 Axes come from numpy's vector trig, which may differ from the scalar math
 of the in_sector oracle in the last bits; every pair within NEAR of its
@@ -257,11 +258,12 @@ class BatchOutcome:
     """Floods of a batch of scenarios.
 
     Flood b owns slots offsets[b] .. offsets[b + 1] - 1 of covered, one per
-    node of its scenario in the sort order of the batch's GridIndex, not in
-    node order: slot offsets[b] + k is node order[base[b] + k] - base[b].
-    That layout follows the index and changes with it; outcome(b) maps the
-    slots back to node ids.  Every covered node relays exactly once, so a
-    flood's transmitters are its source and its covered nodes.
+    row of its index group's field, of which its own nodes are the first
+    n_nodes[b], in the sort order of the batch's GridIndex, not in node
+    order: slot offsets[b] + k is row order[base[b] + k] - base[b].  That
+    layout follows the index and changes with it; outcome(b) maps the slots
+    back to node ids.  Every covered node relays exactly once, so a flood's
+    transmitters are its source and its covered nodes.
     """
 
     offsets: np.ndarray    # (B + 1,) slot offsets
@@ -270,6 +272,7 @@ class BatchOutcome:
     per_round: np.ndarray  # (rounds, B) transmitters per round
     order: np.ndarray      # the index's sort order: sorted position -> row of all fields
     base: np.ndarray       # (B,) sorted position of the first node of each flood's field
+    n_nodes: np.ndarray    # (B,) rows of each flood's own nodes; the destination's id
 
     @property
     def reached(self) -> np.ndarray:
@@ -292,7 +295,7 @@ class BatchOutcome:
             success=hop > 0,
             first_delivery_hop=hop or None,
             implicated=frozenset([SOURCE_ID, *nodes]),
-            covered=frozenset([*nodes, hi - lo] if hop else nodes),
+            covered=frozenset([*nodes, int(self.n_nodes[b])] if hop else nodes),
             rounds=len(counts),
             per_round_transmitters=tuple(counts.tolist()),
         )
@@ -303,49 +306,76 @@ def propagate_batch(scenarios: Sequence[Scenario],
     """Flood every scenario to exhaustion, all in lockstep.
 
     The scenarios share radius and direction_error_bound; theta, endpoints
-    and nodes may differ.  Scenarios that pass the same nodes array (the
-    cells of a sweep trial that differ only in theta and d) share one group
-    of the index, while each keeps its own covered slots.  Direction errors
-    are drawn up front and keyed by node id, so outcomes are independent of
-    iteration order and batching.  rngs[b] supplies scenario b's errors; by
-    default they come from the aiming stream SeedSequence((seed, 1)) of its
-    config seed, drawn once for all scenarios with the same nodes array and
-    seed.  Streams are only consumed when direction_error_bound is nonzero.
+    and nodes may differ.  Scenarios whose nodes are row-prefix views of one
+    array (same data pointer, strides and dtype: the cells of a sweep trial)
+    share one group of the index, while each keeps its own covered slots.
+    Direction errors are drawn up front and keyed by node id, so outcomes
+    are independent of iteration order and batching.  rngs[b] supplies
+    scenario b's errors; by default they come from the aiming stream
+    SeedSequence((seed, 1)) of its config seed, drawn once for all scenarios
+    with the same group and seed: the stream is prefix-stable, so a view of
+    n rows reads the draws it would alone.  Streams are only consumed when
+    direction_error_bound is nonzero.
     """
     cfg = scenarios[0].config
     shared = (cfg.radius, cfg.direction_error_bound)
     if any((s.config.radius, s.config.direction_error_bound) != shared for s in scenarios):
         raise ValueError("a batch must share radius and direction_error_bound")
     n_floods = len(scenarios)
-    groups: dict[int, int] = {}
-    field_of = np.array([groups.setdefault(id(s.nodes), len(groups)) for s in scenarios],
-                        np.int64)
-    fields = list({id(s.nodes): s.nodes for s in scenarios}.values())
+    # row-prefix views of one array (same data pointer, strides and dtype)
+    # share a group, which holds the longest of them
+    keys: dict[int, tuple] = {}  # id(nodes) -> group key
+    longest: dict[tuple, np.ndarray] = {}
+    for s in scenarios:
+        if id(s.nodes) not in keys:
+            nodes = s.nodes
+            key = keys[id(nodes)] = (nodes.__array_interface__["data"][0], nodes.strides,
+                                     nodes.dtype.str)
+            if len(nodes) >= len(longest.get(key, ())):
+                longest[key] = nodes
+    group = {key: g for g, key in enumerate(longest)}
+    field_of = np.array([group[keys[id(s.nodes)]] for s in scenarios], np.int64)
+    fields = list(longest.values())
     index = build_index(fields, cfg.radius)
-    field_start = np.concatenate(([0], np.cumsum([len(f) for f in fields])))
-    offsets = np.concatenate(([0], np.cumsum([len(s.nodes) for s in scenarios])))
-    # flood b's slot of sorted position p is p + shift[b], and node_delta
-    # holds row r of the concatenated fields for flood b at r + shift[b]
+    sizes = np.array([len(f) for f in fields], np.int64)
+    field_start = np.concatenate(([0], np.cumsum(sizes)))
+    n_nodes = np.array([len(s.nodes) for s in scenarios], np.int64)
+    offsets = np.concatenate(([0], np.cumsum(sizes[field_of])))
+    # flood b's slot of sorted position p is p + shift[b]
     shift = offsets[:-1] - field_start[field_of]
+    covered = np.zeros(offsets[-1], dtype=bool)
+    # a flood over the first n rows of its group: the slots of the rows
+    # past n start covered, so no transmitter tests them, and are cleared
+    # after the last round
+    starts, ends = field_start.tolist(), offsets.tolist()
+    partial = [(slice(ends[b], ends[b + 1]), g, n)
+               for b, (g, n) in enumerate(zip(field_of.tolist(), n_nodes.tolist()))
+               if n < starts[g + 1] - starts[g]]
+    past = {}  # (group, n) -> per sorted position of the group: row >= n
+    for slots, g, n in partial:
+        if (g, n) not in past:
+            past[g, n] = index.order[starts[g]:starts[g + 1]] >= starts[g] + n
+        covered[slots] = past[g, n]
 
     eps = cfg.direction_error_bound
-    # in node order, node i of flood b at offsets[b] + i; empty without aiming errors
-    node_delta = np.zeros(offsets[-1] if eps > 0.0 else 0)
     src_delta = np.zeros(n_floods)
     if eps > 0.0:
-        default_draws = {}
-        for b, s in enumerate(scenarios):
-            if rngs is not None:
-                draws = rngs[b].uniform(-eps, eps, size=len(s.nodes) + 1)
-            else:
-                key = (id(s.nodes), s.config.seed)
-                if key not in default_draws:
-                    rng = np.random.default_rng(np.random.SeedSequence((s.config.seed, 1)))
-                    default_draws[key] = rng.uniform(-eps, eps, size=len(s.nodes) + 1)
-                draws = default_draws[key]
-            # draws[0] belongs to the source, draws[i + 1] to node i
-            src_delta[b] = draws[0]
-            node_delta[offsets[b]:offsets[b + 1]] = draws[1:]
+        # rows of draws, one per (group, seed) or, with rngs, one per flood:
+        # draw 0 belongs to the source and draw r + 1 to row r of the field,
+        # which flood b reads at node_delta[row of all fields + delta_shift[b]]
+        if rngs is None:
+            row_keys = list(zip(field_of.tolist(), (s.config.seed for s in scenarios)))
+            draws = {(g, seed): np.random.default_rng(np.random.SeedSequence((seed, 1))).uniform(
+                -eps, eps, size=sizes[g] + 1) for g, seed in dict.fromkeys(row_keys)}
+        else:
+            row_keys = range(n_floods)
+            draws = {b: rng.uniform(-eps, eps, size=len(s.nodes) + 1)
+                     for b, (rng, s) in enumerate(zip(rngs, scenarios))}
+        row_at = dict(zip(draws, np.cumsum([0, *map(len, draws.values())]).tolist()))
+        row_start = np.array([row_at[key] for key in row_keys], np.int64)
+        node_delta = np.concatenate(list(draws.values()))
+        src_delta = node_delta[row_start]
+        delta_shift = row_start + 1 - field_start[field_of]
 
     r2 = cfg.radius * cfg.radius
     halves = np.array([s.config.theta / 2.0 for s in scenarios])
@@ -355,7 +385,6 @@ def propagate_batch(scenarios: Sequence[Scenario],
     one_beam = bool((halves == halves[0]).all())  # then sector_hits takes scalars
     dest_x = np.array([s.destination.x for s in scenarios])
     dest_y = np.array([s.destination.y for s in scenarios])
-    covered = np.zeros(offsets[-1], dtype=bool)
     # a chunk hits at most ROUND_CHUNK plus one field's nodes, well below 2^31
     stamp = np.zeros(offsets[-1], dtype=np.int32)
     first_hop = np.zeros(n_floods, dtype=np.int64)
@@ -396,11 +425,14 @@ def propagate_batch(scenarios: Sequence[Scenario],
         pos = fresh - tx_shift
         tx_x, tx_y = index.sorted_x[pos], index.sorted_y[pos]
         # without aiming errors every delta is zero
-        tx_delta = node_delta[index.order[pos] + tx_shift] if eps > 0.0 else np.zeros(len(pos))
+        tx_delta = (node_delta[index.order[pos] + delta_shift[tx_flood]] if eps > 0.0
+                    else np.zeros(len(pos)))
 
+    for slots, g, n in partial:  # still covered: no transmitter tested them
+        covered[slots] ^= past[g, n]
     return BatchOutcome(offsets=offsets, covered=covered, first_hop=first_hop,
                         per_round=np.array(per_round).reshape(-1, n_floods),
-                        order=index.order, base=field_start[field_of])
+                        order=index.order, base=field_start[field_of], n_nodes=n_nodes)
 
 
 def propagate(scenario: Scenario, rng: np.random.Generator | None = None) -> BroadcastOutcome:

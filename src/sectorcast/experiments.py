@@ -39,9 +39,10 @@ DEFAULT_TRIALS = 500
 MAX_TRIALS = 100_000
 
 # A unit floods as many cells and trials in lockstep as fit in this many
-# flood slots, trials x sum(n_nodes + 1) over its cells (at least one cell
-# and trial).
-BATCH_ROWS = 1 << 18
+# flood slots.  Each flood allocates a slot per row of its trial's field,
+# drawn at the unit's largest n_nodes, so a unit allocates trials x cells x
+# (largest n_nodes + 1) slots (at least one cell and trial).
+BATCH_ROWS = 1 << 19
 
 # Default evaluation grid: theta 22.5..135 degrees, N 1000..3000, d 1000..3000 m.
 DEFAULT_THETA_GRID_DEG = (22.5, 45.0, 67.5, 90.0, 112.5, 135.0)
@@ -123,9 +124,9 @@ def _units(cells: list[ScenarioConfig], trials: int) -> list[tuple[list[int], in
     The cells that share each trial's field draw form a group: every cell
     with fixed placement, or the Poisson cells with one n_nodes.  A group is
     packed, in cell order, into chunks of at most BATCH_ROWS flood slots a
-    trial, sum(n_nodes + 1) over the chunk's cells (at least one cell), and
-    a chunk's trials are cut into near-equal ranges so that each unit holds
-    at most BATCH_ROWS slots (at least one trial).
+    trial, cells x (largest n_nodes + 1) (at least one cell), and a chunk's
+    trials are cut into near-equal ranges so that each unit holds at most
+    BATCH_ROWS slots (at least one trial).
     """
     groups: dict[int, list[int]] = {}
     for pos, cfg in enumerate(cells):
@@ -133,15 +134,15 @@ def _units(cells: list[ScenarioConfig], trials: int) -> list[tuple[list[int], in
         groups.setdefault(key, []).append(pos)
     units = []
     for members in groups.values():
-        chunks = []  # [cell positions, slots a trial]
+        chunks = []  # [cell positions, largest n_nodes]
         for pos in members:
-            slots = cells[pos].n_nodes + 1
-            if not chunks or chunks[-1][1] + slots > BATCH_ROWS:
+            n = cells[pos].n_nodes
+            if not chunks or (len(chunks[-1][0]) + 1) * (max(chunks[-1][1], n) + 1) > BATCH_ROWS:
                 chunks.append([[], 0])
             chunks[-1][0].append(pos)
-            chunks[-1][1] += slots
-        units += [(chunk, first, stop) for chunk, slots in chunks
-                  for first, stop in _even_cuts(trials, BATCH_ROWS // slots)]
+            chunks[-1][1] = max(chunks[-1][1], n)
+        units += [(chunk, first, stop) for chunk, most in chunks
+                  for first, stop in _even_cuts(trials, BATCH_ROWS // (len(chunk) * (most + 1)))]
     return units
 
 
@@ -151,8 +152,8 @@ def _run_unit(configs: list[ScenarioConfig], first: int,
     (success, implicated ratio, hops-or-0) arrays of shape (cells, trials).
 
     Each trial's field is generated once, at the cells' largest n_nodes; a
-    cell with fewer nodes floods a view of its first n_nodes rows, made once
-    per (trial, n_nodes), so the floods of one n_nodes share an index group.
+    cell with fewer nodes floods a view of its first n_nodes rows, so every
+    flood of a trial shares one index group.
     """
     ends = [endpoint_positions(cfg) for cfg in configs]  # independent of the seed
     top = max(range(len(configs)), key=lambda k: configs[k].n_nodes)

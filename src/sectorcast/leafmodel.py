@@ -93,15 +93,16 @@ def build_leaf(d: float, r: float, theta: float) -> LeafModel:
     if d <= r:
         raise DegenerateLeafError(f"d={d} <= r={r}: direct delivery, empty chain")
 
+    # each step is next_edge and triangle_area's arithmetic, validated once above
     cos_half, sin_half = math.cos(theta / 2.0), math.sin(theta / 2.0)
     seq, areas, verts = [d], [], [(d, 0.0)]
     vx, vy = verts[0]
     non_terminating = False
     for _ in range(MAX_TRIANGLES):
         d_prev = seq[-1]
-        d_next = next_edge(d_prev, r, theta)
+        d_next = math.sqrt(d_prev * d_prev + r * r - 2.0 * r * d_prev * cos_half)
         seq.append(d_next)
-        areas.append(triangle_area(d_next, r, theta))
+        areas.append(0.5 * r * d_next * sin_half)
         norm = math.hypot(vx, vy)
         nx, ny = -vx / norm, -vy / norm
         vx += r * (nx * cos_half + ny * sin_half)

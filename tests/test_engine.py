@@ -189,10 +189,10 @@ def test_direction_error_defaults_to_aim_stream():
     assert hits == {True, False}
 
 
-def shared_field(cfg, thetas_deg, distances):
-    """Scenarios over one generated nodes array, one per (d, theta), built as
-    a sweep unit builds the cells of one trial."""
-    nodes = generate(cfg).nodes
+def shared_field(cfg, thetas_deg, distances, nodes=None):
+    """Scenarios over one nodes array (by default cfg's generated field), one
+    per (d, theta), built as a sweep unit builds the cells of one trial."""
+    nodes = generate(cfg).nodes if nodes is None else nodes
     out = []
     for d in distances:
         for theta_deg in thetas_deg:
@@ -202,31 +202,73 @@ def shared_field(cfg, thetas_deg, distances):
 
 
 def test_batch_over_shared_nodes_matches_single_floods():
-    # floods that share a nodes array share an index group and an aiming
-    # draw, yet each must equal its one-scenario propagate
+    # floods that share a field share an index group and an aiming draw,
+    # also when they flood views of its first rows, yet each must equal the
+    # one-scenario propagate of a copy of its own nodes
     base = ScenarioConfig(square_side=1500.0, radius=250.0)
     delivered = set()
     for eps_deg in (0.0, 10.0):
         for placement in (Placement.FIXED_COUNT, Placement.POISSON_COUNT):
-            # an empty field alone and among a non-empty one
-            for sizes in ((90, 90), (0, 0), (90, 0)):
-                scenarios = []
-                for seed, n in zip((3, 4), sizes):  # two trials' fields in one batch
-                    cfg = replace(base, n_nodes=n, seed=seed, placement=placement,
+            # per trial's field, the row counts it is flooded with: an empty
+            # field alone and among a non-empty one, and a field of 90 rows
+            # flooded as views of its first 0 and 45 rows before it is whole
+            for fields in (((90,), (90,)), ((0,), (0,)), ((90,), (0,)), ((0, 45, 90),)):
+                scenarios, rows = [], []
+                for seed, views in zip((3, 4), fields):  # a field per trial
+                    cfg = replace(base, n_nodes=views[-1], seed=seed, placement=placement,
                                   direction_error_bound=math.radians(eps_deg))
-                    scenarios += shared_field(cfg, (5.0, 135.0, 360.0), (0.0, 150.0, 250.0, 900.0))
+                    nodes = generate(cfg).nodes
+                    for n in views:
+                        scenarios += shared_field(replace(cfg, n_nodes=n), (5.0, 135.0, 360.0),
+                                                  (0.0, 150.0, 250.0, 900.0),
+                                                  nodes if n == views[-1] else nodes[:n])
+                        rows += [len(nodes)] * 12
                 # the same nodes under another seed draw their own aiming errors
                 scenarios += [replace(s, config=replace(s.config, seed=s.config.seed + 100))
                               for s in scenarios[:12]]
+                rows += rows[:12]
                 batch = propagate_batch(scenarios)
-                assert len({id(s.nodes) for s in scenarios}) == 2
+                assert np.diff(batch.offsets).tolist() == rows  # a slot per row of the field
                 for b, scenario in enumerate(scenarios):
-                    want = propagate(scenario)
-                    assert batch.outcome(b) == want, (eps_deg, placement, sizes, b)
+                    want = propagate(replace(scenario, nodes=scenario.nodes.copy()))
+                    assert batch.outcome(b) == want, (eps_deg, placement, fields, b)
                     assert batch.reached[b] == want.success
                     assert batch.implicated[b] == len(want.implicated)
+                    lo, hi = batch.offsets[b], batch.offsets[b + 1]
+                    assert batch.covered[lo:hi].sum() == len(want.covered - {len(scenario.nodes)})
                     delivered.add(want.success)
     assert delivered == {True, False}
+
+
+@pytest.mark.parametrize("eps_deg", [0.0, 10.0])
+def test_floods_nest_in_n_at_oracle_free_sizes(eps_deg):
+    # floods over the first m rows of a fixed field, at sizes the oracle
+    # cannot reach, all in one call: each row keeps its position and aiming
+    # draw in every view, so the whole field implicates every node a prefix
+    # does and delivers no later
+    sizes = (400, 1000, 2000, 3000)
+    scenarios = []
+    for seed in range(3):
+        cfg = ScenarioConfig(n_nodes=3000, seed=seed, direction_error_bound=math.radians(eps_deg))
+        nodes = generate(cfg).nodes
+        for theta_deg in (45.0, 90.0, 135.0):
+            for d in (1000.0, 2000.0):
+                for m in sizes:
+                    cell = replace(cfg, n_nodes=m, theta=math.radians(theta_deg), sd_distance=d)
+                    scenarios.append(Scenario(nodes[:m], *endpoint_positions(cell), cell))
+    batch = propagate_batch(scenarios)
+    floods = [batch.outcome(b) for b in range(len(scenarios))]
+    strict = 0
+    for start in range(0, len(floods), len(sizes)):
+        group = floods[start:start + len(sizes)]
+        for i, prefix in enumerate(group):
+            for whole in group[i + 1:]:
+                assert prefix.implicated <= whole.implicated, (start, i)
+                strict += prefix.implicated < whole.implicated
+                if prefix.success:
+                    assert whole.success, (start, i)
+                    assert whole.first_delivery_hop <= prefix.first_delivery_hop, (start, i)
+    assert strict and {out.success for out in floods} == {True, False}
 
 
 def test_full_circle_covers_nodes_straight_behind_the_axis():
@@ -351,7 +393,7 @@ def test_outcomes_do_not_depend_on_round_chunk(monkeypatch, chunk):
             cfg = replace(base, n_nodes=70, seed=seed, direction_error_bound=math.radians(eps_deg))
             scenarios += shared_field(cfg, (45.0, 135.0, 360.0), (150.0, 600.0))
             nodes = scenarios[-1].nodes
-            for n in (0, 25):  # a view of the first n rows is its own index group
+            for n in (0, 25):  # a view of the first n rows shares the field's group
                 cell = replace(cfg, n_nodes=n, theta=math.radians(120.0), sd_distance=500.0)
                 scenarios.append(Scenario(nodes[:n], *endpoint_positions(cell), cell))
         batch = propagate_batch(scenarios)

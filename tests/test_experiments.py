@@ -53,6 +53,12 @@ def trial_rows(cfg, trials):
     return rows
 
 
+def allocated_slots(configs, first, stop):
+    """Flood slots a unit allocates: one per row of each trial's field, drawn
+    at its cells' largest N, plus one, for every cell and trial."""
+    return len(configs) * (max(cfg.n_nodes for cfg in configs) + 1) * (stop - first)
+
+
 def summary_of(cfg, rows):
     success, ratios, hops = (np.array(col) for col in zip(*rows))
     return experiments._summarise(cfg, success, ratios, hops)
@@ -232,15 +238,18 @@ def test_batches_match_per_trial_propagate(monkeypatch, workers):
         assert same_cells([run_cell(cfg, trials=7, workers=workers)], [summary_of(cfg, rows)])
     # mixed theta (one of them 360 deg), N and d (one <= r) in units that
     # share each trial's field, N 30 flooding prefixes of N 60's: packed in
-    # cell order, three cells hold 123 slots a trial and a fourth would not fit
+    # cell order by the slots they allocate, cells x (largest N + 1), the two
+    # N 30 cells of a d hold 62 slots a trial and a third, at N 60, would
+    # allocate 183
     spec = SweepSpec(base=replace(base, radius=650.0),
                      theta_values=(math.radians(45.0), 2 * math.pi),
                      n_values=(30, 60), d_values=(600.0, 800.0), trials=5)
     cells = spec.cells()
     units = experiments._units(cells, 5)
-    assert [chunk for chunk, _, _ in units] == [[0, 1, 2]] * 5 + [[3, 4, 5]] * 5 + [[6, 7]] * 5
-    assert [sum(cells[pos].n_nodes + 1 for pos in chunk) * (stop - first)
-            for chunk, first, stop in units] == [123] * 10 + [122] * 5
+    assert [chunk for chunk, _, _ in units] == ([[0, 1]] * 3 + [[2, 3]] * 5
+                                                 + [[4, 5]] * 3 + [[6, 7]] * 5)
+    assert [allocated_slots([cells[pos] for pos in chunk], first, stop)
+            for chunk, first, stop in units] == ([62, 124, 124] + [122] * 5) * 2
     want = [summary_of(cfg, trial_rows(cfg, 5)) for cfg in cells]
     assert same_cells(run_sweep(spec, workers=workers), want)
 
@@ -255,8 +264,8 @@ def test_mixed_n_sweeps_match_per_cell_trials(monkeypatch, workers):
                      n_values=(0, 25, 60), d_values=(600.0, 800.0), trials=4)
     cells = spec.cells()
     units = experiments._units(cells, 4)
-    assert [chunk for chunk, _, _ in units] == ([[0, 1, 2, 3, 4]] * 4 + [[5, 6, 7, 8, 9]] * 4
-                                                 + [[10, 11]] * 4)
+    assert [chunk for chunk, _, _ in units] == ([[0, 1, 2, 3]] * 4 + [[4, 5]] * 4
+                                                 + [[6, 7, 8, 9]] * 4 + [[10, 11]] * 4)
     want = [summary_of(cfg, trial_rows(cfg, 4)) for cfg in cells]
     assert same_cells(run_sweep(spec, workers=workers), want)
     # Poisson fields are drawn per N: trial 0's field at N 30 is no prefix
@@ -347,13 +356,15 @@ def test_workers_clamped_to_cpus_and_trials(monkeypatch):
     assert pool.started == [4, 2]
 
 
+def no_flood(fn, configs, first, stop):
+    """Stands in for _run_unit: no trial delivers."""
+    shape = (len(configs), stop - first)
+    return np.zeros(shape, bool), np.ones(shape), np.zeros(shape, np.int64)
+
+
 def test_units_fit_slot_budget(monkeypatch):
     # 60 theta x 3 d cells at N 3000 hold 540,180 slots a trial: the cells
-    # are packed into chunks of at most 87, every unit within BATCH_ROWS slots
-    def no_flood(fn, configs, first, stop):
-        shape = (len(configs), stop - first)
-        return np.zeros(shape, bool), np.ones(shape), np.zeros(shape, np.int64)
-
+    # are packed into chunks of at most 174, every unit within BATCH_ROWS slots
     pool = recording_pool(monkeypatch, no_flood)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     spec = SweepSpec(base=small_config(square_side=4000.0),
@@ -361,10 +372,32 @@ def test_units_fit_slot_budget(monkeypatch):
                      n_values=(3000,), d_values=(1000.0, 2000.0, 3000.0), trials=7)
     results = run_sweep(spec, workers=2)
     assert len(results) == 180 and all(r.trials == 7 for r in results)
-    assert [len(configs) for configs, _, _ in pool.units] == [87] * 14 + [6]
+    assert [len(configs) for configs, _, _ in pool.units] == [174] * 7 + [6]
     seen = {}
     for configs, first, stop in pool.units:
-        assert sum(cfg.n_nodes + 1 for cfg in configs) * (stop - first) <= experiments.BATCH_ROWS
+        assert allocated_slots(configs, first, stop) <= experiments.BATCH_ROWS
         for cfg in configs:
             seen.setdefault((cfg.theta, cfg.sd_distance), []).extend(range(first, stop))
     assert len(seen) == 180 and all(trials == list(range(7)) for trials in seen.values())
+
+
+def test_units_bound_allocated_slots_for_any_n_list(monkeypatch):
+    # 40 N = 0 cells ahead of 40 at N 20,000 in cell order: an N 0 cell
+    # floods a view of the trial's field at the chunk's largest N, so
+    # packing them with the large cells would allocate 20,001 slots each
+    pool = recording_pool(monkeypatch, no_flood)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    spec = SweepSpec(base=small_config(square_side=4000.0),
+                     theta_values=tuple(math.radians(4.5 * k) for k in range(1, 41)),
+                     n_values=(0, 20_000), d_values=(1000.0,), trials=3)
+    assert len(run_sweep(spec, workers=2)) == 80
+    assert [(len(configs), first, stop) for configs, first, stop in pool.units] == (
+        [(40, 0, 3)] + [(26, t, t + 1) for t in range(3)] + [(14, t, t + 1) for t in range(3)])
+    for configs, first, stop in pool.units:
+        assert allocated_slots(configs, first, stop) <= experiments.BATCH_ROWS
+    # one cell past the budget still gets a unit of one trial
+    monkeypatch.setattr(experiments, "BATCH_ROWS", 10_000)
+    pool.units.clear()
+    run_sweep(replace(spec, theta_values=spec.theta_values[:2]), workers=2)
+    assert [(len(configs), first, stop) for configs, first, stop in pool.units] == (
+        [(2, 0, 3)] + [(1, t, t + 1) for _ in range(2) for t in range(3)])

@@ -1,21 +1,28 @@
-"""Golden digests: pinned sha256 of short CLI outputs.
+"""Golden digests: pinned sha256 of short CLI outputs and of a flood corpus.
 
 Rerun equality (criterion 8) cannot notice a refactor that changes every
 number consistently; these pins can.  Each case writes one output file
 through ``cli.main`` and compares its sha256 with the digest recorded when
-the case was added.  A deliberate output change must update the pin and
-say why in CHANGES.md.
+the case was added.  The CLI pins hash aggregates, so the flood corpus
+pins single floods: every outcome of a seeded set of propagate_batch
+batches, in node order.  A deliberate output change must update the pin
+and say why in CHANGES.md.
 
 The pins hold on x86-64 Linux with CPython 3.11 and numpy 2.x; another libm
 may round a transcendental differently and change the last digit of a float.
 """
 
 import hashlib
+import math
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sectorcast import cli
+from sectorcast import cli, engine
+from sectorcast.engine import propagate_batch
+from sectorcast.scenario import Placement, Scenario, ScenarioConfig, endpoint_positions, generate
 
 SMALL = ["--set", "square_side=1500", "--set", "n_nodes=100", "--set", "radius=200",
          "--set", "d=600", "--seed", "11"]
@@ -69,3 +76,55 @@ def test_output_digest(name, tmp_path, capsys):
     out = tmp_path / name
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def corpus_batches(count, seed):
+    """count seeded propagate_batch batches.  Each batch shares a field side,
+    radius, placement, aiming error (0, 0.17 or 0.8 rad) and 1-6 theta
+    values (1-360 deg), over 1-2 fields of 0-1500 nodes, each flooded whole
+    and as a view of its first half, from one d (0 to the side) per view.
+    The radius gives the largest field 1-12 neighbours a node on average,
+    so floods range from dying at once to covering the field."""
+    rng = np.random.default_rng(seed)
+    placements = (Placement.FIXED_COUNT, Placement.POISSON_COUNT)
+    for _ in range(count):
+        side = float(rng.uniform(500.0, 3000.0))
+        sizes = [int(rng.integers(0, 1501 if rng.random() > 0.1 else 3))
+                 for _ in range(rng.integers(1, 3))]
+        degree = float(rng.uniform(1.0, 12.0))
+        radius = min(side, side * math.sqrt(degree / (math.pi * max(50, *sizes))))
+        base = ScenarioConfig(square_side=side, sd_distance=0.0, radius=radius,
+                              placement=placements[rng.integers(2)],
+                              direction_error_bound=float(rng.choice([0.0, 0.17, 0.8])))
+        thetas = [math.radians(float(t)) for t in rng.uniform(1.0, 360.0, rng.integers(1, 7))]
+        if rng.random() < 0.3:
+            thetas[-1] = 2 * math.pi
+        scenarios = []
+        for n in sizes:
+            cfg = replace(base, n_nodes=n, seed=int(rng.integers(2**63)))
+            nodes = generate(cfg).nodes
+            for view in (nodes, nodes[:len(nodes) // 2]):
+                d = float(rng.choice([0.0, side, rng.uniform(0.0, side)], p=[0.1, 0.1, 0.8]))
+                for theta in thetas:
+                    cell = replace(cfg, theta=theta, sd_distance=d)
+                    scenarios.append(Scenario(view, *endpoint_positions(cell), cell))
+        yield scenarios
+
+
+# 28 batches, 302 floods, 27,932 transmitters
+FLOOD_CORPUS = "32c9a78590a47c2c6871a38fa32e9ba9a75c0370f28769bdd5f8ace30cbde1d7"
+
+
+@pytest.mark.parametrize("chunk", [engine.ROUND_CHUNK, 64])
+def test_flood_corpus_digest(monkeypatch, chunk):
+    # success, first hop, sorted implicated ids and per-round counts of
+    # each flood, never the slot layout, so an index redesign keeps the pin
+    monkeypatch.setattr(engine, "ROUND_CHUNK", chunk)
+    digest = hashlib.sha256()
+    for scenarios in corpus_batches(28, 7):
+        batch = propagate_batch(scenarios)
+        for b in range(len(scenarios)):
+            out = batch.outcome(b)
+            digest.update(repr((out.success, out.first_delivery_hop, sorted(out.implicated),
+                                out.per_round_transmitters)).encode())
+    assert digest.hexdigest() == FLOOD_CORPUS
