@@ -59,7 +59,7 @@ def _load(args: argparse.Namespace) -> tuple[ScenarioConfig, SweepSpec]:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         base_raw, sweep_raw = configio.parse_config_text(text, args.config)
     else:
@@ -112,7 +112,7 @@ def cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
     t0 = time.perf_counter()
     results = run_sweep(spec, workers=args.workers)
     elapsed = time.perf_counter() - t0
-    atomic_write_text(out_path, configio.results_csv_text(results, spec.base, spec))
+    atomic_write_text(out_path, configio.results_csv_text(results, spec))
     print(f"{len(results)} cells x {spec.trials} trials in {elapsed:.1f} s "
           f"-> {out_path}")
     eligible = [r for r in results if r.model_relative_error is not None]

@@ -128,16 +128,15 @@ def config_record(config: ScenarioConfig) -> dict:
     return {key: _to_file(key, getattr(config, field)) for key, (field, _) in _BASE.items()}
 
 
-def config_echo_lines(config: ScenarioConfig, spec: SweepSpec | None = None) -> list[str]:
+def config_echo_lines(spec: SweepSpec) -> list[str]:
     """Effective configuration as '#' comment lines for output-file headers."""
-    lines = [f"# {k} = {v}" for k, v in config_record(config).items()]
-    if spec is not None:
-        lines.append("# [sweep]")
-        for key, field in _SWEEP.items():
-            value = getattr(spec, field)
-            if key in _BASE:
-                value = ", ".join(str(_to_file(key, v)) for v in value)
-            lines.append(f"# {key} = {value}")
+    lines = [f"# {k} = {v}" for k, v in config_record(spec.base).items()]
+    lines.append("# [sweep]")
+    for key, field in _SWEEP.items():
+        value = getattr(spec, field)
+        if key in _BASE:
+            value = ", ".join(str(_to_file(key, v)) for v in value)
+        lines.append(f"# {key} = {value}")
     return lines
 
 
@@ -155,11 +154,10 @@ def result_row(result: CellResult, config: ScenarioConfig) -> str:
                                config.square_side, trials, *metrics)))
 
 
-def results_csv_text(results: list[CellResult], config: ScenarioConfig,
-                     spec: SweepSpec | None = None) -> str:
-    lines = config_echo_lines(config, spec)
+def results_csv_text(results: list[CellResult], spec: SweepSpec) -> str:
+    lines = config_echo_lines(spec)
     lines.append(",".join(CSV_COLUMNS))
-    lines.extend(result_row(r, config) for r in results)
+    lines.extend(result_row(r, spec.base) for r in results)
     return "\n".join(lines) + "\n"
 
 

@@ -89,27 +89,24 @@ class GridIndex:
         self.radius = radius
         n = len(points)
         xy = np.array(points.T, order="C")  # a copy: fast reductions along each coordinate
-        groups = np.asarray(groups)
+        groups = np.asarray(groups, dtype=np.int64)
         self._ngroups = int(groups.max(initial=-1)) + 1
         origin, top = ((xy.min(axis=1, keepdims=True), xy.max(axis=1, keepdims=True)) if n
                        else (np.zeros((2, 1)), np.zeros((2, 1))))
         self._abs_max = float(max(-origin.min(), top.max()))
         extent = float((top - origin).max())
         self._cell = max(radius / 3.0, extent / math.sqrt(4.0 * n / self._ngroups) if n else 0.0)
-        # 32-bit cells and keys sort faster: a cell coordinate is below
-        # 2 * sqrt(points) + 1 and size about 4 * points + groups
         xy -= origin  # in place: xy is the build's one float temporary
         xy /= self._cell
-        cells = xy.astype(np.int32)
+        cells = xy.astype(np.int32)  # a coordinate is below 2 * sqrt(points) + 1
         self._ncols, self._nrows = (cells.max(axis=1, initial=0) + 1).tolist()
         size = self._ngroups * self._ncols * self._nrows
-        key = groups.astype(np.int32 if size < 2**31 else np.int64)
-        ids = (key * self._ncols + cells[0]) * self._nrows + cells[1]
-        del xy, cells, key  # freed before the start table and gathers, where the build peaks
+        ids = (groups * self._ncols + cells[0]) * self._nrows + cells[1]
+        del xy, cells  # freed before the start table and gathers, where the build peaks
         # sorting ids << s | position (2^s > n) is argsort(ids, kind="stable"); keys stay
         # below size * 2n < 2^63 while size and n are below 2^31 (a 16 GB start table)
         s = n.bit_length()
-        self.order = (ids.astype(np.int64) << s) | np.arange(n)
+        self.order = (ids << s) | np.arange(n)
         self.order.sort()
         self.order &= (1 << s) - 1
         ids += 1  # start[k + 1] counts the points in cells up to k
@@ -176,9 +173,9 @@ def _in_sectors(dx: np.ndarray, dy: np.ndarray, ux: np.ndarray, uy: np.ndarray, 
 def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray,
                 uy: np.ndarray, groups: np.ndarray, cos_half: np.ndarray | float,
                 wide: np.ndarray, shift: np.ndarray, covered: np.ndarray, exact):
-    """Yield (query, slot) hit pairs, one chunk of about ROUND_CHUNK
-    candidate pairs at a time, for sectors of the index's radius at apexes
-    (xs, ys) along vector-trig axes (ux, uy), with the verdicts of the scalar
+    """Yield the slots hit, one array per chunk of about ROUND_CHUNK
+    candidate pairs, for sectors of the index's radius at apexes (xs, ys)
+    along vector-trig axes (ux, uy), with the verdicts of the scalar
     in_sector oracle in tests/oracles.py: exact(queries) gives the scalar
     axes that decide pairs near a sector's edge.  cos_half (cos of the
     half-angle, FULL_CIRCLE for a 360-degree sector) is a per-query array,
@@ -216,7 +213,7 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray
         hit = np.flatnonzero(_in_sectors(
             index.sorted_x.take(pos) - xs.take(owner), index.sorted_y.take(pos) - ys.take(owner),
             ux.take(owner), uy.take(owner), r2, c, lambda k: exact(owner.take(k))))
-        yield owner.take(hit), slots.take(hit)
+        yield slots.take(hit)
 
 
 def _vector_axes(dx: np.ndarray, dy: np.ndarray,
@@ -228,10 +225,10 @@ def _vector_axes(dx: np.ndarray, dy: np.ndarray,
     return np.cos(axes), np.sin(axes)
 
 
-def aim_vectors(xs: np.ndarray, ys: np.ndarray, dest_x: np.ndarray, dest_y: np.ndarray,
+def aim_vectors(dx: np.ndarray, dy: np.ndarray,
                 deltas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(cos, sin) of each transmitter's axis: the bearing of its destination
-    plus its aiming error.
+    """(cos, sin) of each transmitter's axis: the bearing atan2(dy, dx) of
+    its destination, at offset (dx, dy), plus its aiming error.
 
     atan2, cos and sin are the scalar math functions of the in_sector
     oracle in tests/oracles.py, one call each per transmitter, since
@@ -240,8 +237,7 @@ def aim_vectors(xs: np.ndarray, ys: np.ndarray, dest_x: np.ndarray, dest_y: np.n
     its destination aims at bearing 0.  The flood kernel aims with
     _vector_axes and calls this only for pairs near a sector's edge.
     """
-    ddx, ddy = dest_x - xs, dest_y - ys
-    axes = np.fromiter(map(math.atan2, ddy.tolist(), (ddx + 0.0).tolist()), float, len(ddx))
+    axes = np.fromiter(map(math.atan2, dy.tolist(), (dx + 0.0).tolist()), float, len(dx))
     axes = np.mod(np.mod(axes, math.tau) + deltas, math.tau).tolist()
     return (np.fromiter(map(math.cos, axes), float, len(axes)),
             np.fromiter(map(math.sin, axes), float, len(axes)))
@@ -249,8 +245,8 @@ def aim_vectors(xs: np.ndarray, ys: np.ndarray, dest_x: np.ndarray, dest_y: np.n
 
 def build_index(fields: Sequence[np.ndarray], radius: float) -> GridIndex:
     """Index over the nodes of each field, grouped by field."""
-    return GridIndex(np.concatenate(fields), radius, np.repeat(
-        np.arange(len(fields), dtype=np.int32), [len(f) for f in fields]))
+    return GridIndex(np.concatenate(fields), radius,
+                     np.arange(len(fields)).repeat([len(f) for f in fields]))
 
 
 @dataclass(frozen=True)
@@ -397,12 +393,11 @@ def propagate_batch(scenarios: Sequence[Scenario],
     tx_delta = src_delta
     while len(tx_flood):
         per_round.append(np.bincount(tx_flood, minlength=n_floods))
-        to_x, to_y = dest_x[tx_flood], dest_y[tx_flood]
-        dx, dy = to_x - tx_x, to_y - tx_y
+        dx, dy = dest_x[tx_flood] - tx_x, dest_y[tx_flood] - tx_y
         ux, uy = _vector_axes(dx, dy, tx_delta)
 
         def exact(k):  # scalar axes of transmitters k, for pairs near a sector's edge
-            return aim_vectors(tx_x[k], tx_y[k], to_x[k], to_y[k], tx_delta[k])
+            return aim_vectors(dx[k], dy[k], tx_delta[k])
 
         tx_cos, tx_wide = ((cos_half[0], wide[:, 0]) if one_beam
                            else (cos_half[tx_flood], wide[:, tx_flood]))
@@ -411,8 +406,8 @@ def propagate_batch(scenarios: Sequence[Scenario],
         hit = hit.compress(first_hop.take(hit) == 0)
         first_hop[hit] = len(per_round)
         fresh = []
-        for _, slots in sector_hits(index, tx_x, tx_y, ux, uy, field_of[tx_flood], tx_cos,
-                                    tx_wide, tx_shift, covered, exact):
+        for slots in sector_hits(index, tx_x, tx_y, ux, uy, field_of[tx_flood], tx_cos,
+                                 tx_wide, tx_shift, covered, exact):
             covered[slots] = True
             # one entry per slot: a slot hit twice in a chunk keeps its last
             # entry, and a later chunk drops it as covered

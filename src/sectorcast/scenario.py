@@ -19,6 +19,8 @@ DEFAULT_RADIUS = 200.0
 
 _MAX_SEED = 2**64
 MAX_NODES = 1_000_000  # 16 MB of positions; larger fields are rejected, not allocated
+# field sides in meters whose squared coordinate differences stay normal floats
+MIN_SQUARE_SIDE, MAX_SQUARE_SIDE = 1e-100, 1e100
 
 
 class ConfigError(ValueError):
@@ -61,8 +63,9 @@ class ScenarioConfig:
     direction_error_bound: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.square_side) and self.square_side > 0):
-            raise ConfigError(f"square_side must be positive, got {self.square_side}")
+        if not MIN_SQUARE_SIDE <= self.square_side <= MAX_SQUARE_SIDE:
+            raise ConfigError(f"square_side must be in [{MIN_SQUARE_SIDE:g}, "
+                              f"{MAX_SQUARE_SIDE:g}] m, got {self.square_side}")
         if not 0 <= self.n_nodes <= MAX_NODES:
             raise ConfigError(f"n_nodes must be in [0, {MAX_NODES}], got {self.n_nodes}")
         if not (math.isfinite(self.radius) and self.radius > 0):

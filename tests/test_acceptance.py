@@ -122,10 +122,10 @@ def test_criterion_4_bandwidth_gain_identity(grid, tmp_path):
         worst = max(worst, abs(cell.bandwidth_gain - expect) / expect)
     # the identity must also hold for emitted CSV rows after parse-back
     some = list(grid.values())[:4]
-    base = ScenarioConfig(square_side=SIDE, radius=RADIUS, sd_distance=1000.0,
-                          seed=SEED)
+    spec = SweepSpec(ScenarioConfig(square_side=SIDE, radius=RADIUS, sd_distance=1000.0,
+                                    seed=SEED))
     path = tmp_path / "rows.csv"
-    path.write_text(configio.results_csv_text(some, base))
+    path.write_text(configio.results_csv_text(some, spec))
     for row in read_results_csv(str(path)):
         expect = row["implicated_ratio_mean"] * row["theta_deg"] / 360.0
         worst = max(worst, abs(row["bandwidth_gain"] - expect) / expect)

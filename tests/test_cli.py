@@ -76,7 +76,7 @@ def test_config_record_and_echo_read_back_to_the_same_config():
     assert record["placement"] == "poisson" and record["direction_error_deg"] > 0
     text = "".join(f"{key} = {value}\n" for key, value in record.items())
     assert configio.to_scenario_config(configio.parse_config_text(text)[0]) == cfg
-    echo = "\n".join(line.removeprefix("# ") for line in configio.config_echo_lines(cfg, spec))
+    echo = "\n".join(line.removeprefix("# ") for line in configio.config_echo_lines(spec))
     echo_base, echo_sweep = configio.parse_config_text(echo)
     assert echo_sweep.keys() == {"theta_deg", "n_nodes", "d", "trials"}
     assert configio.to_sweep_spec(configio.to_scenario_config(echo_base), echo_sweep) == spec
@@ -107,6 +107,15 @@ def test_overrides_apply_and_reject_unknown():
 def test_placement_parse_error():
     with pytest.raises(ConfigError, match="placement"):
         configio.to_scenario_config({"placement": "grid"})
+
+
+def test_unreadable_config_file_exits_2(tmp_path, capsys):
+    # a missing file and one that is not UTF-8; every command loads alike
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"n_nodes = 10\xff\n")
+    for path in (tmp_path / "missing.cfg", bad):
+        assert run_cli("model", "--config", str(path)) == 2
+        assert "config error: cannot read config file: " in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- simulate
@@ -154,6 +163,9 @@ def test_oversized_inputs_exit_2_before_any_allocation(tmp_path, monkeypatch, ca
         (["sweep", "--set", "sweep.n_nodes=1000,1000000000000"], "n_nodes must be in"),
         (["sweep", "--set", f"sweep.trials={MAX_TRIALS + 1}"], "trials must be in [1, 100000]"),
         (["compare", "--set", "sweep.trials=1000000000000"], "trials must be in"),
+        # (side + d) / 2 would overflow to inf
+        (["simulate", "--set", "square_side=1.7e308", "--set", "d=8e307", "--set",
+          "radius=1e307"], "square_side must be in [1e-100, 1e+100] m"),
     ):
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", str(out)) == 2

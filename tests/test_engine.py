@@ -271,13 +271,36 @@ def test_floods_nest_in_n_at_oracle_free_sizes(eps_deg):
     assert strict and {out.success for out in floods} == {True, False}
 
 
+@pytest.mark.parametrize("eps_deg", [0.0, 10.0])
+def test_implicated_nodes_stay_within_the_disc_bound(eps_deg):
+    # when theta / 2 + eps <= 60 deg, a node within r of a transmitter at
+    # distance D from the destination, at most 60 deg off that line, lies
+    # within max(D, r) of the destination (law of cosines), so by induction
+    # from the source every implicated node lies within max(d, r) of it
+    thetas = (22.5, 45.0, 67.5, 90.0, 120.0 - 2.0 * eps_deg)
+    distances = (300.0, 1000.0, 2000.0, 3000.0)
+    worst, spread = 0.0, 0
+    for seed in range(4):
+        cfg = ScenarioConfig(n_nodes=3000, seed=seed, direction_error_bound=math.radians(eps_deg))
+        scenarios = shared_field(cfg, thetas, distances)
+        batch = propagate_batch(scenarios)
+        for b, s in enumerate(scenarios):
+            ids = sorted(batch.outcome(b).implicated - {SOURCE_ID})
+            bound = max(s.config.sd_distance, s.config.radius)
+            far = np.hypot(*(s.nodes[ids] - (s.destination.x, s.destination.y)).T)
+            ratio = far.max(initial=0.0) / bound
+            assert ratio <= 1.0 + 1e-9, (seed, b, ratio)
+            worst = max(worst, ratio)
+            spread += len(ids) > 50
+    assert worst > 0.9 and spread  # the floods reach out toward the bound
+
+
 def test_full_circle_covers_nodes_straight_behind_the_axis():
     # a node straight behind a transmitter's axis has dot = -|d|; here the
     # float dot product even lands below -sqrt(q), so a 360-degree sector
     # must not be tested against cos(pi)
     src = (500.0, 500.0)
-    ux, uy = aim_vectors(np.array([500.0]), np.array([500.0]), np.array([510.0]),
-                         np.array([600.0]), np.zeros(1))
+    ux, uy = aim_vectors(np.array([10.0]), np.array([100.0]), np.zeros(1))
     assert -1.0 * ux[0] - 10.0 * uy[0] < -math.sqrt(101.0)
     diagonal = make_scenario([(499.0, 490.0)], src, (510.0, 600.0), theta_deg=360.0)
     axial = make_scenario([(400.0, 500.0)], src, (800.0, 500.0), theta_deg=360.0)
@@ -417,7 +440,8 @@ def scan(pts, s, members=None):
 def batched_hits(index, apexes, axes, half_angle, groups=None, covered=None):
     """Hit sets of sectors sharing half_angle and the index's radius, from
     one batched sector_hits query; covered marks sorted positions covered
-    before it (none by default)."""
+    before it (none by default).  Query q owns slots q * n .. q * n + n - 1,
+    one per sorted position, so a hit slot names its query and its point."""
     xs = np.array([a[0] for a in apexes], dtype=float)
     ys = np.array([a[1] for a in apexes], dtype=float)
     ux = np.array([math.cos(a) for a in axes], dtype=float)
@@ -426,13 +450,15 @@ def batched_hits(index, apexes, axes, half_angle, groups=None, covered=None):
     cos_half = np.full(len(xs), FULL_CIRCLE if half_angle >= math.pi else math.cos(half_angle))
     box_half = min(half_angle + BOX_SLACK, math.pi)
     wide = np.array([np.full(len(xs), math.cos(box_half)), np.full(len(xs), math.sin(box_half))])
-    # slots are sorted positions: no shift, exact axes
-    shift = np.zeros(len(xs), np.int64)
+    n = len(index.order) or 1  # an empty index has no slots to tell apart
+    shift = np.arange(len(xs)) * n
     covered = np.zeros(len(index.order), bool) if covered is None else covered
+    covered = np.tile(covered, len(xs))
     found = [set() for _ in apexes]
-    for owner, slots in sector_hits(index, xs, ys, ux, uy, groups, cos_half, wide, shift,
-                                    covered, lambda k: (ux[k], uy[k])):
-        for o, i in zip(owner.tolist(), index.order[slots].tolist()):
+    for slots in sector_hits(index, xs, ys, ux, uy, groups, cos_half, wide, shift,
+                             covered, lambda k: (ux[k], uy[k])):  # exact axes
+        owner, pos = np.divmod(slots, n)
+        for o, i in zip(owner.tolist(), index.order[pos].tolist()):
             found[o].add(i)
     return found
 
@@ -641,15 +667,15 @@ def test_aim_vectors_use_scalar_math():
     dx = np.concatenate((dx[differ], dx[:500], [0.0, 0.0, 5.0, -5.0]))
     dy = np.concatenate((dy[differ], dy[:500], [0.0, 5.0, 0.0, 0.0]))
     deltas = rng.uniform(-1.0, 1.0, len(dx))
-    zeros = np.zeros(len(dx))
-    ux, uy = aim_vectors(zeros, zeros, dx, dy, deltas)
+    ux, uy = aim_vectors(dx, dy, deltas)
     axes = [(math.atan2(b, a) % TWO_PI + e) % TWO_PI for a, b, e in zip(dx, dy, deltas)]
     assert ux.tolist() == [math.cos(a) for a in axes]
     assert uy.tolist() == [math.sin(a) for a in axes]
-    # a transmitter on its destination aims at bearing 0
-    ux, uy = aim_vectors(np.array([3.0]), np.array([4.0]), np.array([3.0]), np.array([4.0]),
-                         np.zeros(1))
-    assert (ux.tolist(), uy.tolist()) == ([1.0], [0.0])
+    # a transmitter on its destination aims at bearing 0, for zero offsets
+    # of either sign
+    ux, uy = aim_vectors(np.array([0.0, -0.0, 0.0, -0.0]), np.array([0.0, 0.0, -0.0, -0.0]),
+                         np.zeros(4))
+    assert (ux.tolist(), uy.tolist()) == ([1.0] * 4, [0.0] * 4)
 
 
 def test_vector_axes_stay_within_near_of_scalar_axes():
@@ -681,7 +707,7 @@ def test_vector_axes_stay_within_near_of_scalar_axes():
     xs, ys = np.concatenate((pinned, xs)), np.concatenate((pinned, ys))
     to_x, to_y = np.concatenate((dx[differ], to_x)), np.concatenate((dy[differ], to_y))
     deltas = np.concatenate((pinned, deltas))
-    ux, uy = aim_vectors(xs, ys, to_x, to_y, deltas)
+    ux, uy = aim_vectors(to_x - xs, to_y - ys, deltas)
     vx, vy = engine._vector_axes(to_x - xs, to_y - ys, deltas)
     assert max(np.abs(vx - ux).max(), np.abs(vy - uy).max()) <= NEAR / 1000
 
@@ -821,3 +847,17 @@ def test_coincident_endpoints_fail_gracefully():
     out = propagate(generate(cfg))
     assert not out.success
     assert out.rounds >= 1
+
+
+@pytest.mark.parametrize("side", [1e-100, 1e100])
+def test_floods_at_the_field_side_bounds_match_a_1000_m_field(side):
+    # squared coordinate differences stay normal floats at both bounds, so a
+    # field scaled from 1000 m to either bound floods the same nodes
+    def flood(side):
+        k = side / 1000.0
+        return propagate(generate(ScenarioConfig(square_side=side, n_nodes=300, radius=200.0 * k,
+                                                 theta=math.radians(90.0), sd_distance=500.0 * k,
+                                                 seed=3)))
+    want = flood(1000.0)
+    assert want.success and len(want.implicated) == 64
+    assert flood(side) == want

@@ -38,6 +38,8 @@ def make_config(**kw):
     dict(direction_error_bound=-0.1),
     dict(direction_error_bound=math.pi + 0.1),
     dict(n_nodes=MAX_NODES + 1),
+    dict(square_side=1e160, radius=2e159, sd_distance=5e159),  # squares overflow
+    dict(square_side=1e-200, radius=2e-201, sd_distance=5e-201),  # squares underflow
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError):
