@@ -55,21 +55,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> tuple[ScenarioConfig, SweepSpec]:
+    """Config file (empty when absent), then --set in order, then --seed."""
+    text = ""
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-        base_raw, sweep_raw = configio.parse_config_text(text, args.config)
-    else:
-        base_raw, sweep_raw = {}, {}
-    configio.apply_overrides(base_raw, sweep_raw, args.overrides)
+    base_raw, sweep_raw = configio.parse_config_text(text, args.config)
+    seed = [] if args.seed is None else [f"seed={args.seed}"]
+    configio.apply_overrides(base_raw, sweep_raw, [*args.overrides, *seed])
     config = configio.to_scenario_config(base_raw)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    spec = configio.to_sweep_spec(config, sweep_raw)
-    return config, spec
+    return config, configio.to_sweep_spec(config, sweep_raw)
 
 
 def cmd_simulate(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,

@@ -17,10 +17,8 @@ but wall time.
 
 from __future__ import annotations
 
-import logging
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -32,8 +30,6 @@ from .engine import propagate, propagate_batch  # noqa: F401
 from .leafmodel import build_leaf, predicted_ratio, relative_error
 from .scenario import (ConfigError, Placement, Scenario, ScenarioConfig, derive_seed,
                        endpoint_positions, generate)
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_TRIALS = 500
 MAX_TRIALS = 100_000
@@ -235,7 +231,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CellResult]:
     two cells with spec.trials trials each.
     """
     cells = spec.cells()
-    t0 = time.perf_counter()
     units = _units(cells, spec.trials)
     args = zip(*(([cells[pos] for pos in chunk], first, stop) for chunk, first, stop in units))
     workers = min(workers, _usable_cpus(), len(units))
@@ -246,11 +241,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CellResult]:
         for (chunk, _, _), arrays in zip(units, outputs):
             for pos, cell_arrays in zip(chunk, zip(*arrays)):
                 parts[pos].append(cell_arrays)
-    results = [_summarise(cfg, *map(np.concatenate, zip(*cell_parts)))
-               for cfg, cell_parts in zip(cells, parts)]
-    logger.info("sweep: %d cells x %d trials in %.1f s",
-                len(cells), spec.trials, time.perf_counter() - t0)
-    return results
+    return [_summarise(cfg, *map(np.concatenate, zip(*cell_parts)))
+            for cfg, cell_parts in zip(cells, parts)]
 
 
 def run_cell(config: ScenarioConfig, trials: int = DEFAULT_TRIALS,

@@ -77,6 +77,10 @@ class ScenarioConfig:
                 f"sd_distance must be in [0, square_side], got {self.sd_distance} "
                 f"with square_side {self.square_side}"
             )
+        source_x, dest_x = _endpoint_xs(self.square_side, self.sd_distance)
+        if self.sd_distance > 0.0 and source_x == dest_x:
+            raise ConfigError(f"sd_distance {self.sd_distance} is too small for square_side "
+                              f"{self.square_side}: both endpoints round to one point")
         if not 0 <= self.seed < _MAX_SEED:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not 0.0 <= self.direction_error_bound <= math.pi:
@@ -108,14 +112,15 @@ def derive_seed(base_seed: int, trial: int) -> int:
     return int(np.random.SeedSequence((base_seed, trial)).generate_state(1, np.uint64)[0])
 
 
+def _endpoint_xs(side: float, d: float) -> tuple[float, float]:
+    return (side - d) / 2.0, (side + d) / 2.0
+
+
 def endpoint_positions(config: ScenarioConfig) -> tuple[Point2D, Point2D]:
     """Source and destination on the midline, centered around the field middle."""
-    side = config.square_side
-    d = config.sd_distance
-    return (
-        Point2D((side - d) / 2.0, side / 2.0),
-        Point2D((side + d) / 2.0, side / 2.0),
-    )
+    y = config.square_side / 2.0
+    source_x, dest_x = _endpoint_xs(config.square_side, config.sd_distance)
+    return Point2D(source_x, y), Point2D(dest_x, y)
 
 
 def generate(config: ScenarioConfig) -> Scenario:

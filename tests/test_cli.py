@@ -118,6 +118,13 @@ def test_unreadable_config_file_exits_2(tmp_path, capsys):
         assert "config error: cannot read config file: " in capsys.readouterr().err
 
 
+def test_atomic_write_leaves_nothing_when_the_text_cannot_be_encoded(tmp_path):
+    target = tmp_path / "out.txt"
+    with pytest.raises(UnicodeEncodeError):
+        configio.atomic_write_text(str(target), "ok\ud800")
+    assert list(tmp_path.iterdir()) == []
+
+
 # ------------------------------------------------------------------- simulate
 
 def test_simulate_deterministic_record(tmp_path, config_file, capsys):
@@ -151,6 +158,15 @@ def test_simulate_config_error_exit_code(tmp_path, config_file, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_simulate_smallest_placeable_distance_delivers_in_one_hop(tmp_path):
+    # at side 1 m, d = 1e-15 still gives two endpoint x values (1e-17 does
+    # not, and exits 2)
+    out = tmp_path / "x.json"
+    assert run_cli("simulate", "--set", "square_side=1", "--set", "radius=0.1", "--set",
+                   "n_nodes=0", "--set", "d=1e-15", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["outcome"]["first_delivery_hop"] == 1
+
+
 def test_oversized_inputs_exit_2_before_any_allocation(tmp_path, monkeypatch, capsys):
     def no_flood(*args, **kwargs):
         raise AssertionError("an oversized input reached the simulator")
@@ -166,6 +182,10 @@ def test_oversized_inputs_exit_2_before_any_allocation(tmp_path, monkeypatch, ca
         # (side + d) / 2 would overflow to inf
         (["simulate", "--set", "square_side=1.7e308", "--set", "d=8e307", "--set",
           "radius=1e307"], "square_side must be in [1e-100, 1e+100] m"),
+        # (side - d) / 2 and (side + d) / 2 would be one double
+        (["simulate", "--set", "square_side=1", "--set", "radius=0.1", "--set", "d=1e-17"],
+         "both endpoints round to one point"),
+        (["sweep", "--set", "sweep.theta_deg=,"], "field theta_deg: empty list"),
     ):
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", str(out)) == 2
@@ -212,13 +232,25 @@ def test_workers_only_on_sweep_and_compare_and_at_least_one(tmp_path, config_fil
         assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
-def test_seed_flag_overrides_config(tmp_path, config_file):
+def test_seed_flag_overrides_config(tmp_path, config_file, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     run_cli("simulate", "--config", config_file, "--seed", "99", "--out", str(a))
     run_cli("simulate", "--config", config_file, "--seed", "99", "--out", str(b))
     assert a.read_bytes() == b.read_bytes()
     assert json.loads(a.read_text())["config"]["seed"] == 99
+    # --seed is the last seed override: it beats --set seed=... in either
+    # order, and replaces the file's seed line before that line is parsed
+    bad_seed = tmp_path / "bad_seed.cfg"
+    bad_seed.write_text(BASE_TEXT.replace("seed = 11", "seed = -3"))
+    for argv in (["--config", config_file, "--seed", "5", "--set", "seed=7"],
+                 ["--config", config_file, "--set", "seed=7", "--seed", "5"],
+                 ["--config", str(bad_seed), "--seed", "5"]):
+        assert run_cli("simulate", *argv, "--out", str(a)) == 0
+        assert json.loads(a.read_text())["config"]["seed"] == 5
+    capsys.readouterr()
+    assert run_cli("simulate", "--config", config_file, "--seed", "-1", "--out", str(a)) == 2
+    assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
 
 
 def test_flags_do_not_leak_into_the_next_call(tmp_path, config_file):
@@ -350,11 +382,16 @@ def test_duplicate_sweep_values_give_duplicate_rows(tmp_path, config_file):
     assert read_results_csv(str(tmp_path / "dup-3.csv"))[0]["trials"] == 5
 
 
-def test_sweep_unwritable_output_fails_fast(tmp_path, config_file, capsys):
-    code = run_cli("sweep", "--config", config_file,
-                   "--out", str(tmp_path / "missing_dir" / "x.csv"))
-    assert code == 3
-    assert "i/o error" in capsys.readouterr().err
+def test_sweep_unwritable_output_fails_fast(tmp_path, config_file, monkeypatch, capsys):
+    def no_work(*args, **kwargs):
+        raise AssertionError("sweep ran before its output path was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    (tmp_path / "taken").mkdir()
+    for out, cause in ((tmp_path / "missing_dir" / "x.csv", "output directory does not exist"),
+                       (tmp_path / "taken", "output path is a directory")):
+        assert run_cli("sweep", "--config", config_file, "--out", str(out)) == 3
+        assert f"i/o error: {cause}" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- compare

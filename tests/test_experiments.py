@@ -208,6 +208,12 @@ def test_run_sweep_names_invalid_cell():
         run_sweep(spec)
 
 
+@pytest.mark.parametrize("field", ["theta_values", "n_values", "d_values"])
+def test_sweep_spec_rejects_an_empty_list(field):
+    with pytest.raises(ConfigError, match="sweep value lists must be non-empty"):
+        SweepSpec(base=small_config(), **{field: ()})
+
+
 def test_sweep_default_grid_shape():
     spec = SweepSpec(base=small_config())
     assert len(spec.theta_values) * len(spec.n_values) * len(spec.d_values) == 54

@@ -205,6 +205,26 @@ def test_areas_match_shoelace_reconstruction():
                 shoelace(dest, verts[i + 1], verts[i + 2]), rel=1e-6)
 
 
+@pytest.mark.parametrize("theta_deg, n_triangles, turn_deg, model_over_drawn", [
+    (45.0, 5, 74.45823325254747, 0.7274485556277552),
+    (90.0, 7, 148.02324615444118, 0.8170890112137537),
+    (112.5, 12, 344.5817493142489, 0.8754437918928899),
+    (120.0, 31, 1403.4821797805898, 0.927272735532951),
+])
+def test_chain_geometry_at_the_criterion_1_angles(theta_deg, n_triangles, turn_deg,
+                                                  model_over_drawn):
+    # d = 1000 m, r = 200 m: how far each half of the chain turns around the
+    # destination (past 180 degrees the two halves overlap) and how the
+    # model's total_area compares with the area of the chain as drawn
+    model = build_leaf(1000.0, 200.0, math.radians(theta_deg))
+    pairs = list(zip(model.vertices, model.vertices[1:]))
+    turn = sum(math.atan2(ax * by - ay * bx, ax * bx + ay * by) for (ax, ay), (bx, by) in pairs)
+    drawn = 2.0 * sum(shoelace(a, b, (0.0, 0.0)) for a, b in pairs)
+    assert model.n_triangles == n_triangles
+    assert math.degrees(turn) == pytest.approx(turn_deg, rel=1e-9)
+    assert model.total_area / drawn == pytest.approx(model_over_drawn, rel=1e-9)
+
+
 def test_predicted_ratio_examples():
     model = build_leaf(1000.0, 200.0, DEG60)
     assert predicted_ratio(model, 4000.0) == pytest.approx(

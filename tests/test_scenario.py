@@ -40,6 +40,7 @@ def make_config(**kw):
     dict(n_nodes=MAX_NODES + 1),
     dict(square_side=1e160, radius=2e159, sd_distance=5e159),  # squares overflow
     dict(square_side=1e-200, radius=2e-201, sd_distance=5e-201),  # squares underflow
+    dict(square_side=1.0, radius=0.1, sd_distance=1e-17),  # endpoints round to one point
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError):
