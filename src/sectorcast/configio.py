@@ -104,9 +104,15 @@ def apply_overrides(base: dict, sweep: dict, overrides: list[str]) -> None:
 
 
 def to_scenario_config(base: dict) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from raw strings (degrees -> radians)."""
-    return ScenarioConfig(**{field: _from_file(key, base[key], kind)
-                             for key, (field, kind) in _BASE.items() if key in base})
+    """Build a validated ScenarioConfig from raw strings (degrees -> radians);
+    a rejection's message ends with (key = text) for each given key it names."""
+    given = [(key, field, _from_file(key, base[key], kind))
+             for key, (field, kind) in _BASE.items() if key in base]
+    try:
+        return ScenarioConfig(**{field: value for _, field, value in given})
+    except ConfigError as exc:
+        named = [f"({key} = {base[key]})" for key, field, _ in given if field in str(exc)]
+        raise ConfigError(" ".join([str(exc), *named])) from exc
 
 
 def to_sweep_spec(config: ScenarioConfig, sweep: dict) -> SweepSpec:

@@ -16,7 +16,8 @@ theta, d and n_nodes) share one group.  Each flood keeps its own covered
 slots, one per row of its group, laid out in the index's sort order, so a
 candidate run of the index is a run of the flood's slots and covered
 candidates are dropped before any coordinate is gathered; the rows past a
-flood's own nodes start covered.  Each transmitter tests its own
+flood's own nodes start covered.  sector_hits marks a round's hits covered
+and returns each fresh slot once.  Each transmitter tests its own
 destination as one extra point.  propagate is the one-flood call.
 
 Axes come from numpy's vector trig, which may differ from the scalar math
@@ -172,21 +173,22 @@ def _in_sectors(dx: np.ndarray, dy: np.ndarray, ux: np.ndarray, uy: np.ndarray, 
 
 def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray,
                 uy: np.ndarray, groups: np.ndarray, cos_half: np.ndarray | float,
-                wide: np.ndarray, shift: np.ndarray, covered: np.ndarray, exact):
-    """Yield the slots hit, one array per chunk of about ROUND_CHUNK
-    candidate pairs, for sectors of the index's radius at apexes (xs, ys)
-    along vector-trig axes (ux, uy), with the verdicts of the scalar
-    in_sector oracle in tests/oracles.py: exact(queries) gives the scalar
-    axes that decide pairs near a sector's edge.  cos_half (cos of the
-    half-angle, FULL_CIRCLE for a 360-degree sector) is a per-query array,
-    or a scalar when every query has the same half-angle.  wide holds cos and
-    sin of the half-angle plus BOX_SLACK, capped at pi, in the same form:
-    the index is queried over the bounding box of that wider sector.
+                wide: np.ndarray, shift: np.ndarray, covered: np.ndarray, stamp: np.ndarray,
+                exact) -> np.ndarray:
+    """Mark covered and return, once each, the uncovered slots hit by sectors
+    of the index's radius at apexes (xs, ys) along vector-trig axes (ux, uy),
+    with the verdicts of the scalar in_sector oracle in tests/oracles.py:
+    exact(queries) gives the scalar axes that decide pairs near a sector's
+    edge.  cos_half (cos of the half-angle, FULL_CIRCLE for a 360-degree
+    sector) is a per-query array, or a scalar when every query has the same
+    half-angle.  wide holds cos and sin of the half-angle plus BOX_SLACK,
+    capped at pi, in the same form: the index is queried over the bounding
+    box of that wider sector.
 
-    Query i's candidate at sorted position p is slot p + shift[i] of
-    covered.  Candidates whose slot is covered when their chunk starts are
-    dropped untested, so a caller that marks each chunk's hits covered
-    gets every slot at most once per chunk.
+    Query i's candidate at sorted position p is slot p + shift[i] of covered
+    and of stamp, an int32 scratch array.  Pairs are tested in chunks of
+    about ROUND_CHUNK; candidates whose slot is covered when their chunk
+    starts are dropped untested.
     """
     # reach in radii toward -x, -y, +x and +y: the apex, both arc ends, and
     # each cardinal extreme within the half-angle
@@ -202,6 +204,7 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray
     run_shift = shift[query]
     lo, hi = lo + run_shift, hi + run_shift  # runs of slots
     r2 = index.radius * index.radius
+    fresh = []
     # index arrays and take: boolean masks and fancy indexing cost 2-4x more per pair
     for a, b in zip((0, *cuts), (*cuts, len(lo))):
         slots = index.candidates(lo[a:b], hi[a:b])
@@ -210,10 +213,15 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray
         slots = slots.take(live)
         pos = slots - shift.take(owner)
         c = cos_half.take(owner) if np.ndim(cos_half) else cos_half
-        hit = np.flatnonzero(_in_sectors(
+        slots = slots.take(np.flatnonzero(_in_sectors(
             index.sorted_x.take(pos) - xs.take(owner), index.sorted_y.take(pos) - ys.take(owner),
-            ux.take(owner), uy.take(owner), r2, c, lambda k: exact(owner.take(k))))
-        yield slots.take(hit)
+            ux.take(owner), uy.take(owner), r2, c, lambda k: exact(owner.take(k)))))
+        covered[slots] = True
+        # one entry per slot: a slot hit twice in the chunk keeps its last
+        order = np.arange(len(slots), dtype=np.int32)
+        stamp[slots] = order
+        fresh.append(slots.compress(stamp.take(slots) == order))
+    return np.concatenate(fresh)
 
 
 def _vector_axes(dx: np.ndarray, dy: np.ndarray,
@@ -302,16 +310,14 @@ def propagate_batch(scenarios: Sequence[Scenario],
     """Flood every scenario to exhaustion, all in lockstep.
 
     The scenarios share radius and direction_error_bound; theta, endpoints
-    and nodes may differ.  Scenarios whose nodes are row-prefix views of one
-    array (same data pointer, strides and dtype: the cells of a sweep trial)
-    share one group of the index, while each keeps its own covered slots.
-    Direction errors are drawn up front and keyed by node id, so outcomes
-    are independent of iteration order and batching.  rngs[b] supplies
-    scenario b's errors; by default they come from the aiming stream
-    SeedSequence((seed, 1)) of its config seed, drawn once for all scenarios
-    with the same group and seed: the stream is prefix-stable, so a view of
-    n rows reads the draws it would alone.  Streams are only consumed when
-    direction_error_bound is nonzero.
+    and nodes may differ, and row-prefix views of one array share an index
+    group.  Direction errors are drawn up front and keyed by node id, so
+    outcomes are independent of iteration order and batching.  rngs[b]
+    supplies scenario b's errors; by default they come from the aiming
+    stream SeedSequence((seed, 1)) of its config seed, drawn once for all
+    scenarios with the same group and seed: the stream is prefix-stable, so
+    a view of n rows reads the draws it would alone.  Streams are only
+    consumed when direction_error_bound is nonzero.
     """
     cfg = scenarios[0].config
     shared = (cfg.radius, cfg.direction_error_bound)
@@ -387,7 +393,6 @@ def propagate_batch(scenarios: Sequence[Scenario],
     per_round = []
 
     tx_flood = np.arange(n_floods)
-    tx_shift = shift
     tx_x = np.array([s.source.x for s in scenarios])
     tx_y = np.array([s.source.y for s in scenarios])
     tx_delta = src_delta
@@ -405,19 +410,10 @@ def propagate_batch(scenarios: Sequence[Scenario],
         hit = tx_flood.compress(_in_sectors(dx, dy, ux, uy, r2, tx_cos, exact))
         hit = hit.compress(first_hop.take(hit) == 0)
         first_hop[hit] = len(per_round)
-        fresh = []
-        for slots in sector_hits(index, tx_x, tx_y, ux, uy, field_of[tx_flood], tx_cos,
-                                 tx_wide, tx_shift, covered, exact):
-            covered[slots] = True
-            # one entry per slot: a slot hit twice in a chunk keeps its last
-            # entry, and a later chunk drops it as covered
-            order = np.arange(len(slots), dtype=np.int32)
-            stamp[slots] = order
-            fresh.append(slots.compress(stamp.take(slots) == order))
-        fresh = np.concatenate(fresh)
+        fresh = sector_hits(index, tx_x, tx_y, ux, uy, field_of[tx_flood], tx_cos, tx_wide,
+                            shift[tx_flood], covered, stamp, exact)
         tx_flood = offsets.searchsorted(fresh, side="right") - 1
-        tx_shift = shift[tx_flood]
-        pos = fresh - tx_shift
+        pos = fresh - shift[tx_flood]
         tx_x, tx_y = index.sorted_x[pos], index.sorted_y[pos]
         # without aiming errors every delta is zero
         tx_delta = (node_delta[index.order[pos] + delta_shift[tx_flood]] if eps > 0.0

@@ -37,7 +37,8 @@ MAX_TRIALS = 100_000
 # A unit floods as many cells and trials in lockstep as fit in this many
 # flood slots.  Each flood allocates a slot per row of its trial's field,
 # drawn at the unit's largest n_nodes, so a unit allocates trials x cells x
-# (largest n_nodes + 1) slots (at least one cell and trial).
+# (largest n_nodes + 1) slots (at least one cell and trial), in expectation
+# for Poisson fields, which give a flood one slot per drawn node.
 BATCH_ROWS = 1 << 19
 
 # Default evaluation grid: theta 22.5..135 degrees, N 1000..3000, d 1000..3000 m.
@@ -122,7 +123,8 @@ def _units(cells: list[ScenarioConfig], trials: int) -> list[tuple[list[int], in
     packed, in cell order, into chunks of at most BATCH_ROWS flood slots a
     trial, cells x (largest n_nodes + 1) (at least one cell), and a chunk's
     trials are cut into near-equal ranges so that each unit holds at most
-    BATCH_ROWS slots (at least one trial).
+    BATCH_ROWS slots (at least one trial).  A Poisson flood gets one slot per
+    drawn node, so there the bound holds only in expectation.
     """
     groups: dict[int, list[int]] = {}
     for pos, cfg in enumerate(cells):

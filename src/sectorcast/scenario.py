@@ -49,8 +49,7 @@ class ScenarioConfig:
     """Full parameterization of one experiment.
 
     theta and direction_error_bound are radians; the CLI converts from
-    degrees at the boundary.  Node density is n_nodes / square_side**2,
-    always derived, never stored.
+    degrees at the boundary.
     """
 
     square_side: float = DEFAULT_SQUARE_SIDE
@@ -87,10 +86,6 @@ class ScenarioConfig:
             raise ConfigError(
                 f"direction_error_bound must be in [0, pi], got {self.direction_error_bound}"
             )
-
-    @property
-    def density(self) -> float:
-        return self.n_nodes / (self.square_side * self.square_side)
 
 
 @dataclass(frozen=True)

@@ -152,10 +152,15 @@ def test_simulate_one_hop_delivery(tmp_path, capsys):
 
 
 def test_simulate_config_error_exit_code(tmp_path, config_file, capsys):
-    code = run_cli("simulate", "--config", config_file,
-                   "--set", "d=9999", "--out", str(tmp_path / "x.json"))
-    assert code == 2
-    assert "config error" in capsys.readouterr().err
+    # the message names library fields in radians; the keys as typed follow
+    for typed in ("theta_deg=400", "d=9999", "direction_error_deg=200"):
+        code = run_cli("simulate", "--config", config_file,
+                       "--set", typed, "--out", str(tmp_path / "x.json"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err
+        key, text = typed.split("=")
+        assert f"({key} = {text})" in err
 
 
 def test_simulate_smallest_placeable_distance_delivers_in_one_hop(tmp_path):
@@ -392,6 +397,12 @@ def test_sweep_unwritable_output_fails_fast(tmp_path, config_file, monkeypatch, 
                        (tmp_path / "taken", "output path is a directory")):
         assert run_cli("sweep", "--config", config_file, "--out", str(out)) == 3
         assert f"i/o error: {cause}" in capsys.readouterr().err
+    # a directory that denies writing: os.access passes for root, so deny it here
+    access = os.access
+    monkeypatch.setattr(configio.os, "access",
+                        lambda path, mode: not mode & os.W_OK and access(path, mode))
+    assert run_cli("sweep", "--config", config_file, "--out", str(tmp_path / "x.csv")) == 3
+    assert "i/o error: output directory is not writable" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- compare

@@ -454,12 +454,12 @@ def batched_hits(index, apexes, axes, half_angle, groups=None, covered=None):
     shift = np.arange(len(xs)) * n
     covered = np.zeros(len(index.order), bool) if covered is None else covered
     covered = np.tile(covered, len(xs))
+    slots = sector_hits(index, xs, ys, ux, uy, groups, cos_half, wide, shift, covered,
+                        np.zeros(len(covered), np.int32), lambda k: (ux[k], uy[k]))  # exact axes
     found = [set() for _ in apexes]
-    for slots in sector_hits(index, xs, ys, ux, uy, groups, cos_half, wide, shift,
-                             covered, lambda k: (ux[k], uy[k])):  # exact axes
-        owner, pos = np.divmod(slots, n)
-        for o, i in zip(owner.tolist(), index.order[pos].tolist()):
-            found[o].add(i)
+    owner, pos = np.divmod(slots, n)
+    for o, i in zip(owner.tolist(), index.order[pos].tolist()):
+        found[o].add(i)
     return found
 
 
@@ -620,6 +620,34 @@ def test_sector_hits_drop_slots_covered_before_the_query():
             dropped += len(want & gone)
             kept += len(got[k])
     assert dropped and kept
+
+
+def test_sector_hits_mark_and_return_each_fresh_slot_once(monkeypatch):
+    # 40 overlapping sectors of one flood (shift 0) in chunks of 1000 pairs:
+    # the slots come back once each, are the scan's hits less the covered
+    # ones, and are left covered, whatever the stamp held before
+    monkeypatch.setattr(engine, "ROUND_CHUNK", 1000)
+    rng = np.random.default_rng(23)
+    pts = rng.uniform(0, 600, size=(400, 2))
+    index = GridIndex(pts, 200.0, np.zeros(400, np.int64))
+    covered = rng.random(400) < 0.3
+    before = covered.copy()
+    apexes = rng.uniform(100, 500, size=(40, 2))
+    axes = rng.uniform(0, 2 * math.pi, 40)
+    ux = np.array([math.cos(a) for a in axes])  # the scan's scalar axes
+    uy = np.array([math.sin(a) for a in axes])
+    half = 1.0
+    slots = sector_hits(index, apexes[:, 0], apexes[:, 1], ux, uy, np.zeros(40, np.int64),
+                        math.cos(half), np.array([math.cos(half + BOX_SLACK),
+                                                  math.sin(half + BOX_SLACK)]),
+                        np.zeros(40, np.int64), covered, rng.integers(-9, 9, 400, np.int32),
+                        lambda k: (ux[k], uy[k]))
+    want = set().union(*(scan(pts, Sector(apex=Point2D(*a), axis=x, half_angle=half,
+                                          radius=200.0))
+                         for a, x in zip(apexes, axes)))
+    assert len(slots) == len(set(slots.tolist())) > 0
+    assert set(index.order[slots].tolist()) == want - set(index.order[before].tolist())
+    assert (covered == (before | np.isin(np.arange(400), slots))).all()
 
 
 def cell_keys(pts, groups, index):

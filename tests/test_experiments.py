@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sectorcast import experiments
+from sectorcast import engine, experiments
 from sectorcast.engine import propagate
 from sectorcast.experiments import (
     CellResult,
@@ -385,6 +385,36 @@ def test_units_fit_slot_budget(monkeypatch):
         for cfg in configs:
             seen.setdefault((cfg.theta, cfg.sd_distance), []).extend(range(first, stop))
     assert len(seen) == 180 and all(trials == list(range(7)) for trials in seen.values())
+
+
+def test_units_index_one_field_a_trial_within_the_slot_budget(monkeypatch):
+    # the engine's own counts on real units of a fixed sweep: each unit
+    # indexes one field per trial, which its cells flood as views, and
+    # allocates at most BATCH_ROWS slots, unless it holds one trial of one
+    # cell that alone is larger
+    monkeypatch.setattr(experiments, "BATCH_ROWS", 150)
+    fields, slots = [], []
+    build_index, propagate_batch = engine.build_index, experiments.propagate_batch
+
+    def counting_index(batch, radius):
+        fields.append(len(batch))
+        return build_index(batch, radius)
+
+    def counting_flood(scenarios):
+        flood = propagate_batch(scenarios)
+        slots.append(int(flood.offsets[-1]))
+        return flood
+
+    monkeypatch.setattr(engine, "build_index", counting_index)
+    monkeypatch.setattr(experiments, "propagate_batch", counting_flood)
+    spec = SweepSpec(base=small_config(seed=3), theta_values=(math.radians(45.0), 2 * math.pi),
+                     n_values=(0, 25, 60), d_values=(600.0, 800.0), trials=4)
+    run_sweep(spec)
+    units = experiments._units(spec.cells(), spec.trials)
+    assert len(fields) == len(slots) == len(units)
+    for (chunk, first, stop), n_fields, n_slots in zip(units, fields, slots):
+        assert n_fields == stop - first
+        assert n_slots <= experiments.BATCH_ROWS or (len(chunk), stop - first) == (1, 1)
 
 
 def test_units_bound_allocated_slots_for_any_n_list(monkeypatch):

@@ -47,11 +47,6 @@ def test_config_validation(kw):
         make_config(**kw)
 
 
-def test_density_is_derived():
-    cfg = make_config(n_nodes=1000)
-    assert cfg.density == pytest.approx(1000 / 16e6)
-
-
 def test_endpoint_placement_rule():
     src, dst = endpoint_positions(make_config(square_side=4000.0, sd_distance=1000.0))
     assert (src.x, src.y) == (1500.0, 2000.0)
