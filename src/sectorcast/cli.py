@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -77,7 +76,7 @@ def cmd_simulate(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSp
     n_total = config.n_nodes + 1
     ratio = len(outcome.implicated) / n_total
     print(f"scenario: N={config.n_nodes} side={config.square_side:g} m "
-          f"r={config.radius:g} m theta={math.degrees(config.theta):g} deg "
+          f"r={config.radius:g} m theta={config.theta_deg:g} deg "
           f"d={config.sd_distance:g} m seed={config.seed}")
     if outcome.success:
         print(f"result: delivered, first delivery at hop {outcome.first_delivery_hop}")
@@ -118,7 +117,7 @@ def cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
         worst = max(eligible, key=lambda r: abs(r.model_relative_error))
         print(f"max |model relative error| over {len(eligible)} "
               f"model-eligible cells: {abs(worst.model_relative_error):.4f} "
-              f"(theta {math.degrees(worst.theta):g} deg, N {worst.n_nodes}, "
+              f"(theta {worst.theta_deg:g} deg, N {worst.n_nodes}, "
               f"d {worst.sd_distance:g} m, success rate {worst.success_rate:g})")
     return EXIT_OK
 
@@ -131,7 +130,7 @@ def cmd_compare(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpe
 def cmd_model(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
               out_path: str | None) -> int:
     lines = [
-        f"r = {config.radius:g} m, theta = {math.degrees(config.theta):g} deg, "
+        f"r = {config.radius:g} m, theta = {config.theta_deg:g} deg, "
         f"d = {config.sd_distance:g} m, field side = {config.square_side:g} m",
     ]
     try:

@@ -8,8 +8,7 @@ unknown keys are rejected, never ignored.
 Every key is named once: _BASE maps a base key to its ScenarioConfig field
 and type, in echo order, and _SWEEP maps a [sweep] key to its SweepSpec
 field (a list of the base key's values, or the trial count).  Parsing,
-overrides, record and echo all read these tables.  ``*_deg`` keys are
-degrees outside and radians inside; _from_file and _to_file convert.
+overrides, record and echo all read these tables.
 
 CSV columns are fixed; floats are written with shortest-round-trip repr so
 parsed rows reproduce results bit-exactly, absent model fields are empty,
@@ -19,7 +18,6 @@ configuration is echoed as '#' comment lines.
 
 from __future__ import annotations
 
-import math
 import os
 import tempfile
 from dataclasses import astuple
@@ -39,31 +37,24 @@ _BASE = {
     "square_side": ("square_side", float),
     "n_nodes": ("n_nodes", int),
     "radius": ("radius", float),
-    "theta_deg": ("theta", float),
+    "theta_deg": ("theta_deg", float),
     "d": ("sd_distance", float),
     "seed": ("seed", int),
     "placement": ("placement", Placement),
-    "direction_error_deg": ("direction_error_bound", float),
+    "direction_error_deg": ("direction_error_deg", float),
 }
 # [sweep] key -> SweepSpec field
-_SWEEP = {"theta_deg": "theta_values", "n_nodes": "n_values", "d": "d_values", "trials": "trials"}
+_SWEEP = {"theta_deg": "theta_deg_values", "n_nodes": "n_values", "d": "d_values",
+          "trials": "trials"}
 
 
 def _from_file(key: str, text: str, kind):
-    """One config-file value in library units (degrees become radians)."""
+    """One config-file value as its field's type."""
     try:
-        value = kind(text.lower())  # float and int syntax is case-blind too
+        return kind(text.lower())  # float and int syntax is case-blind too
     except ValueError as exc:
         what = "expected 'fixed' or 'poisson', got" if kind is Placement else "cannot parse"
         raise ConfigError(f"field {key}: {what} {text!r}") from exc
-    return math.radians(value) if key.endswith("_deg") else value
-
-
-def _to_file(key: str, value):
-    """One library value in config-file units (radians become degrees)."""
-    if key.endswith("_deg"):
-        return math.degrees(value)
-    return value.value if isinstance(value, Placement) else value
 
 
 def parse_config_text(text: str, source: str = "<config>") -> tuple[dict, dict]:
@@ -104,8 +95,8 @@ def apply_overrides(base: dict, sweep: dict, overrides: list[str]) -> None:
 
 
 def to_scenario_config(base: dict) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from raw strings (degrees -> radians);
-    a rejection's message ends with (key = text) for each given key it names."""
+    """Build a validated ScenarioConfig from raw strings; a rejection's
+    message ends with (key = text) for each given key it names."""
     given = [(key, field, _from_file(key, base[key], kind))
              for key, (field, kind) in _BASE.items() if key in base]
     try:
@@ -130,8 +121,9 @@ def to_sweep_spec(config: ScenarioConfig, sweep: dict) -> SweepSpec:
 
 
 def config_record(config: ScenarioConfig) -> dict:
-    """Effective base configuration under its config-file keys (degrees)."""
-    return {key: _to_file(key, getattr(config, field)) for key, (field, _) in _BASE.items()}
+    """Effective base configuration under its config-file keys."""
+    record = {key: getattr(config, field) for key, (field, _) in _BASE.items()}
+    return {**record, "placement": config.placement.value}
 
 
 def config_echo_lines(spec: SweepSpec) -> list[str]:
@@ -141,7 +133,7 @@ def config_echo_lines(spec: SweepSpec) -> list[str]:
     for key, field in _SWEEP.items():
         value = getattr(spec, field)
         if key in _BASE:
-            value = ", ".join(str(_to_file(key, v)) for v in value)
+            value = ", ".join(map(str, value))
         lines.append(f"# {key} = {value}")
     return lines
 
@@ -155,8 +147,8 @@ def _fmt(value) -> str:
 
 
 def result_row(result: CellResult, config: ScenarioConfig) -> str:
-    theta, n_nodes, d, trials, *metrics = astuple(result)
-    return ",".join(map(_fmt, (math.degrees(theta), n_nodes, d, config.radius,
+    theta_deg, n_nodes, d, trials, *metrics = astuple(result)
+    return ",".join(map(_fmt, (theta_deg, n_nodes, d, config.radius,
                                config.square_side, trials, *metrics)))
 
 

@@ -54,7 +54,7 @@ class SweepSpec:
     """Cross-product sweep around a base config."""
 
     base: ScenarioConfig
-    theta_values: tuple[float, ...] = tuple(math.radians(t) for t in DEFAULT_THETA_GRID_DEG)
+    theta_deg_values: tuple[float, ...] = DEFAULT_THETA_GRID_DEG
     n_values: tuple[int, ...] = DEFAULT_N_GRID
     d_values: tuple[float, ...] = DEFAULT_D_GRID
     trials: int = DEFAULT_TRIALS
@@ -62,7 +62,7 @@ class SweepSpec:
     def __post_init__(self):
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
-        if not (self.theta_values and self.n_values and self.d_values):
+        if not (self.theta_deg_values and self.n_values and self.d_values):
             raise ConfigError("sweep value lists must be non-empty")
 
     def cells(self) -> list[ScenarioConfig]:
@@ -70,13 +70,13 @@ class SweepSpec:
         out = []
         for d in sorted(self.d_values):
             for n in sorted(self.n_values):
-                for theta in sorted(self.theta_values):
+                for theta_deg in sorted(self.theta_deg_values):
                     try:
-                        out.append(replace(self.base, theta=theta, n_nodes=n, sd_distance=d))
+                        out.append(replace(self.base, theta_deg=theta_deg, n_nodes=n,
+                                           sd_distance=d))
                     except ConfigError as exc:
                         raise ConfigError(
-                            f"invalid sweep cell (theta={math.degrees(theta):g} deg, "
-                            f"n={n}, d={d}): {exc}"
+                            f"invalid sweep cell (theta_deg={theta_deg}, n={n}, d={d}): {exc}"
                         ) from exc
         return out
 
@@ -90,10 +90,10 @@ class CellResult:
     leaf-area model predicts and what makes the ratio insensitive to node
     density; success_rate captures the failures separately.  model_ratio
     and model_relative_error are None when the cell has no leaf (d <= r
-    or theta = 2*pi) or the chain is flagged non-terminating.
+    or theta = 360 deg) or the chain is flagged non-terminating.
     """
 
-    theta: float
+    theta_deg: float
     n_nodes: int
     sd_distance: float
     trials: int
@@ -209,7 +209,7 @@ def _summarise(config: ScenarioConfig, success_flags: np.ndarray, ratios: np.nda
             model_err = relative_error(model_ratio, ratio_mean)
 
     return CellResult(
-        theta=config.theta,
+        theta_deg=config.theta_deg,
         n_nodes=config.n_nodes,
         sd_distance=config.sd_distance,
         trials=trials,
@@ -250,6 +250,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CellResult]:
 def run_cell(config: ScenarioConfig, trials: int = DEFAULT_TRIALS,
              workers: int = 1) -> CellResult:
     """Monte Carlo estimate of one cell: the one-cell case of run_sweep."""
-    spec = SweepSpec(base=config, theta_values=(config.theta,), n_values=(config.n_nodes,),
-                     d_values=(config.sd_distance,), trials=trials)
+    spec = SweepSpec(base=config, theta_deg_values=(config.theta_deg,),
+                     n_values=(config.n_nodes,), d_values=(config.sd_distance,), trials=trials)
     return run_sweep(spec, workers)[0]

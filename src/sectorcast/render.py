@@ -8,8 +8,6 @@ two-decimal format to keep output byte-stable.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import leafmodel  # called as leafmodel.build_leaf: trace tools wrap that name
@@ -57,7 +55,7 @@ def render_svg(scenario: Scenario, outcome: BroadcastOutcome) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size:.2f}" height="{size:.2f}" viewBox="0 0 {size:.2f} {size:.2f}">',
         f'<!-- N={len(scenario.nodes)} r={cfg.radius:g} m '
-        f'theta={math.degrees(cfg.theta):g} deg d={cfg.sd_distance:g} m '
+        f'theta={cfg.theta_deg:g} deg d={cfg.sd_distance:g} m '
         f'seed={cfg.seed} success={outcome.success} -->',
     ]
 

@@ -48,18 +48,26 @@ class Placement(Enum):
 class ScenarioConfig:
     """Full parameterization of one experiment.
 
-    theta and direction_error_bound are radians; the CLI converts from
-    degrees at the boundary.
+    Angles are degrees, as entered; the theta and direction_error_bound
+    properties give them in radians, the library's only unit conversion.
     """
 
     square_side: float = DEFAULT_SQUARE_SIDE
     n_nodes: int = 2000
     radius: float = DEFAULT_RADIUS
-    theta: float = math.radians(90.0)
+    theta_deg: float = 90.0
     sd_distance: float = 1000.0
     seed: int = 0
     placement: Placement = Placement.FIXED_COUNT
-    direction_error_bound: float = 0.0
+    direction_error_deg: float = 0.0
+
+    @property
+    def theta(self) -> float:
+        return math.radians(self.theta_deg)
+
+    @property
+    def direction_error_bound(self) -> float:
+        return math.radians(self.direction_error_deg)
 
     def __post_init__(self):
         if not MIN_SQUARE_SIDE <= self.square_side <= MAX_SQUARE_SIDE:
@@ -70,7 +78,7 @@ class ScenarioConfig:
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ConfigError(f"radius must be positive, got {self.radius}")
         if not 0.0 < self.theta <= 2.0 * math.pi:
-            raise ConfigError(f"theta must be in (0, 2*pi] radians, got {self.theta}")
+            raise ConfigError(f"theta_deg must be in (0, 360], got {self.theta_deg}")
         if not 0.0 <= self.sd_distance <= self.square_side:
             raise ConfigError(
                 f"sd_distance must be in [0, square_side], got {self.sd_distance} "
@@ -84,8 +92,7 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not 0.0 <= self.direction_error_bound <= math.pi:
             raise ConfigError(
-                f"direction_error_bound must be in [0, pi], got {self.direction_error_bound}"
-            )
+                f"direction_error_deg must be in [0, 180], got {self.direction_error_deg}")
 
 
 @dataclass(frozen=True)

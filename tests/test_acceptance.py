@@ -56,8 +56,8 @@ def grid():
     base = ScenarioConfig(square_side=SIDE, radius=RADIUS, seed=SEED)
     results = {}
     for thetas, ns, ds in GRID_SWEEPS:
-        spec = SweepSpec(base=base, theta_values=tuple(math.radians(t) for t in thetas),
-                         n_values=ns, d_values=ds, trials=TRIALS)
+        spec = SweepSpec(base=base, theta_deg_values=thetas, n_values=ns, d_values=ds,
+                         trials=TRIALS)
         # run_sweep orders its cells by (d, n, theta)
         keys = [(t, n, d) for d in sorted(ds) for n in sorted(ns) for t in sorted(thetas)]
         results.update(zip(keys, run_sweep(spec)))
@@ -118,7 +118,7 @@ def test_criterion_3_near_linearity(grid):
 def test_criterion_4_bandwidth_gain_identity(grid, tmp_path):
     worst = 0.0
     for cell in grid.values():
-        expect = cell.implicated_ratio_mean * math.degrees(cell.theta) / 360.0
+        expect = cell.implicated_ratio_mean * cell.theta_deg / 360.0
         worst = max(worst, abs(cell.bandwidth_gain - expect) / expect)
     # the identity must also hold for emitted CSV rows after parse-back
     some = list(grid.values())[:4]
@@ -149,8 +149,7 @@ def test_criterion_5_success_probability_trends(grid):
     t_cells = [grid[(t, 3000, 1000.0)] for t in FULL_THETA_GRID]
     for lo, hi in zip(t_cells, t_cells[1:]):
         if hi.success_rate - lo.success_rate < -ci_gap(lo, hi):
-            problems.append(f"theta trend: {math.degrees(lo.theta):.1f}"
-                            f"->{math.degrees(hi.theta):.1f}")
+            problems.append(f"theta trend: {lo.theta_deg:.1f}->{hi.theta_deg:.1f}")
     # longer distance never helps at matched (N, theta)
     for n in (1000, 3000):
         near = grid[(90.0, n, 1000.0)]
@@ -171,10 +170,10 @@ def test_criterion_6_engine_matches_brute_force():
             square_side=1500.0,
             n_nodes=int(rng.integers(0, 51)),
             radius=float(rng.uniform(100, 400)),
-            theta=math.radians(float(rng.uniform(10, 360))),
+            theta_deg=float(rng.uniform(10, 360)),
             sd_distance=float(rng.uniform(100, 1500)),
             seed=int(rng.integers(0, 2**63)),
-            direction_error_bound=float(rng.choice([0.0, 0.0, 0.2])),
+            direction_error_deg=float(rng.choice([0.0, 0.0, 11.459155902616464])),
         )
         scenario = generate(cfg)
         got = propagate(scenario, np.random.default_rng(np.random.SeedSequence((k, 7))))

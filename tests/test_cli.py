@@ -1,7 +1,6 @@
 """CLI: config ingestion, commands, CSV/JSON/SVG emission, exit codes."""
 
 import json
-import math
 import os
 import subprocess
 import sys
@@ -51,35 +50,47 @@ def test_parse_config_text_roundtrip():
     cfg = configio.to_scenario_config(base)
     assert cfg.square_side == 1500.0
     assert cfg.n_nodes == 100
-    assert cfg.theta == pytest.approx(math.pi / 2)
+    assert cfg.theta_deg == 90.0
     assert cfg.sd_distance == 600.0
     assert cfg.placement is Placement.FIXED_COUNT
     spec = configio.to_sweep_spec(cfg, sweep)
     assert spec.trials == 3
     assert spec.n_values == (60, 100)
-    assert [math.degrees(t) for t in spec.theta_values] == pytest.approx([45.0, 90.0])
+    assert spec.theta_deg_values == (45.0, 90.0)
 
 
 def test_config_record_and_echo_read_back_to_the_same_config():
-    # the record and the '#' echo name every key under its file key and in
-    # file units, so reading them back gives the same library values; the
-    # angles echo as math.degrees of the stored radians (60 as
-    # 59.99999999999999), which read back to the same radians for the values
-    # here but not for every value (57 comes back one ulp off)
+    # the record and the '#' echo name every key under its file key and
+    # print each angle as entered, so reading them back gives the same
+    # config and spec; every half degree is checked, as theta_deg, in the
+    # [sweep] theta_deg list and, up to 180, as direction_error_deg
     base, sweep = configio.parse_config_text(BASE_TEXT)
-    configio.apply_overrides(base, sweep, ["placement=poisson", "direction_error_deg=7.5",
-                                           "theta_deg=60", "sweep.theta_deg=22.5, 60, 120"])
-    cfg = configio.to_scenario_config(base)
-    spec = configio.to_sweep_spec(cfg, sweep)
-    record = configio.config_record(cfg)
-    assert record.keys() == base.keys()
-    assert record["placement"] == "poisson" and record["direction_error_deg"] > 0
-    text = "".join(f"{key} = {value}\n" for key, value in record.items())
-    assert configio.to_scenario_config(configio.parse_config_text(text)[0]) == cfg
-    echo = "\n".join(line.removeprefix("# ") for line in configio.config_echo_lines(spec))
-    echo_base, echo_sweep = configio.parse_config_text(echo)
-    assert echo_sweep.keys() == {"theta_deg", "n_nodes", "d", "trials"}
-    assert configio.to_sweep_spec(configio.to_scenario_config(echo_base), echo_sweep) == spec
+    configio.apply_overrides(base, sweep, ["placement=poisson"])
+
+    def read_back(base, sweep):
+        cfg = configio.to_scenario_config(base)
+        spec = configio.to_sweep_spec(cfg, sweep)
+        record = configio.config_record(cfg)
+        assert record.keys() == base.keys()
+        text = "".join(f"{key} = {value}\n" for key, value in record.items())
+        assert configio.to_scenario_config(configio.parse_config_text(text)[0]) == cfg
+        echo = [line.removeprefix("# ") for line in configio.config_echo_lines(spec)]
+        echo_base, echo_sweep = configio.parse_config_text("\n".join(echo))
+        assert echo_sweep.keys() == {"theta_deg", "n_nodes", "d", "trials"}
+        assert configio.to_sweep_spec(configio.to_scenario_config(echo_base), echo_sweep) == spec
+        return record, echo
+
+    record, _ = read_back(base, sweep)
+    assert record["placement"] == "poisson"
+    halves = [f"{v / 2:g}" for v in range(721)]
+    for text in halves:
+        keys = ["theta_deg"] * (text != "0") + ["direction_error_deg"] * (float(text) <= 180)
+        for key in keys:
+            record, echo = read_back({**base, key: text}, sweep)
+            assert f"{record[key]}" == repr(float(text))
+            assert f"{key} = {float(text)!r}" in echo
+    _, echo = read_back(base, {**sweep, "theta_deg": ", ".join(halves[1:])})
+    assert f"theta_deg = {', '.join(repr(float(t)) for t in halves[1:])}" in echo
 
 
 def test_parse_config_reports_line_numbers():
@@ -152,7 +163,7 @@ def test_simulate_one_hop_delivery(tmp_path, capsys):
 
 
 def test_simulate_config_error_exit_code(tmp_path, config_file, capsys):
-    # the message names library fields in radians; the keys as typed follow
+    # the message names the library field in degrees; the keys as typed follow
     for typed in ("theta_deg=400", "d=9999", "direction_error_deg=200"):
         code = run_cli("simulate", "--config", config_file,
                        "--set", typed, "--out", str(tmp_path / "x.json"))
@@ -161,6 +172,15 @@ def test_simulate_config_error_exit_code(tmp_path, config_file, capsys):
         assert "config error" in err
         key, text = typed.split("=")
         assert f"({key} = {text})" in err
+        if key.endswith("_deg"):
+            assert f"{key} must be in" in err and "radians" not in err and "pi]" not in err
+    # a sweep cell's angle is reported in degrees too
+    code = run_cli("sweep", "--config", config_file, "--set", "sweep.theta_deg=400",
+                   "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "theta_deg" in err and "400" in err
+    assert "radians" not in err and "2*pi" not in err
 
 
 def test_simulate_smallest_placeable_distance_delivers_in_one_hop(tmp_path):
@@ -302,7 +322,7 @@ def test_sweep_csv_matches_library_results(tmp_path, config_file):
     spec = configio.to_sweep_spec(cfg, sweep)
     expect = run_sweep(spec)
     for row, res in zip(rows, expect):
-        assert row["theta_deg"] == math.degrees(res.theta)
+        assert row["theta_deg"] == res.theta_deg
         assert row["n_nodes"] == res.n_nodes
         assert row["success_rate"] == res.success_rate
         assert row["implicated_ratio_mean"] == res.implicated_ratio_mean

@@ -32,12 +32,12 @@ from oracles import TWO_PI, Sector, brute_force_flood, in_sector
 
 
 def make_scenario(nodes, source, destination, *, side=4000.0, radius=200.0,
-                  theta_deg=60.0, eps=0.0):
+                  theta_deg=60.0, eps_deg=0.0):
     nodes = np.asarray(nodes, dtype=float).reshape(-1, 2)
     d = math.hypot(destination[0] - source[0], destination[1] - source[1])
     cfg = ScenarioConfig(square_side=side, n_nodes=len(nodes), radius=radius,
-                         theta=math.radians(theta_deg), sd_distance=min(d, side),
-                         seed=0, direction_error_bound=eps)
+                         theta_deg=theta_deg, sd_distance=min(d, side),
+                         seed=0, direction_error_deg=eps_deg)
     return Scenario(nodes=nodes, source=Point2D(*source),
                     destination=Point2D(*destination), config=cfg)
 
@@ -47,10 +47,10 @@ def random_scenario(rng, n_max=50, side=1500.0):
         square_side=side,
         n_nodes=int(rng.integers(0, n_max + 1)),
         radius=float(rng.uniform(100, 400)),
-        theta=math.radians(float(rng.uniform(10, 360))),
+        theta_deg=float(rng.uniform(10, 360)),
         sd_distance=float(rng.uniform(0.1 * side, side)),
         seed=int(rng.integers(0, 2**63)),
-        direction_error_bound=float(rng.choice([0.0, 0.3])),
+        direction_error_deg=float(rng.choice([0.0, 17.188733853924695])),
     )
     return generate(cfg)
 
@@ -131,12 +131,12 @@ def test_theta_monotonicity_fixed_placement():
     for _ in range(10):
         base = random_scenario(rng, n_max=60)
         base = Scenario(base.nodes, base.source, base.destination,
-                        replace(base.config, direction_error_bound=0.0))
+                        replace(base.config, direction_error_deg=0.0))
         prev_covered = None
         prev_success = False
         for theta_deg in (30.0, 60.0, 120.0, 240.0, 360.0):
             s = Scenario(base.nodes, base.source, base.destination,
-                         replace(base.config, theta=math.radians(theta_deg)))
+                         replace(base.config, theta_deg=theta_deg))
             out = propagate(s)
             if prev_covered is not None:
                 assert prev_covered <= out.covered
@@ -153,7 +153,7 @@ def test_floods_nest_in_theta_at_oracle_free_sizes(eps_deg):
     thetas = (22.5, 45.0, 67.5, 90.0, 112.5, 135.0, 360.0)
     scenarios = []
     for seed in range(4):
-        cfg = ScenarioConfig(n_nodes=3000, seed=seed, direction_error_bound=math.radians(eps_deg))
+        cfg = ScenarioConfig(n_nodes=3000, seed=seed, direction_error_deg=eps_deg)
         scenarios += shared_field(cfg, thetas, (1000.0, 2000.0, 3000.0))
     batch = propagate_batch(scenarios)
     floods = [batch.outcome(b) for b in range(len(scenarios))]
@@ -169,7 +169,7 @@ def test_floods_nest_in_theta_at_oracle_free_sizes(eps_deg):
 
 
 def test_propagate_deterministic():
-    scenario = generate(ScenarioConfig(n_nodes=500, seed=11, theta=math.radians(90)))
+    scenario = generate(ScenarioConfig(n_nodes=500, seed=11, theta_deg=90))
     a = propagate(scenario, np.random.default_rng(5))
     b = propagate(scenario, np.random.default_rng(5))
     assert a == b
@@ -178,7 +178,7 @@ def test_propagate_deterministic():
 def test_direction_error_defaults_to_aim_stream():
     # without an rng, propagate draws from the config seed's stream (seed, 1)
     s = make_scenario([(190.0, 60.0)], (0.0, 0.0), (600.0, 0.0),
-                      theta_deg=30.0, eps=math.radians(60.0))
+                      theta_deg=30.0, eps_deg=60.0)
     hits = set()
     for k in range(40):
         scenario = replace(s, config=replace(s.config, seed=k))
@@ -196,7 +196,7 @@ def shared_field(cfg, thetas_deg, distances, nodes=None):
     out = []
     for d in distances:
         for theta_deg in thetas_deg:
-            cell = replace(cfg, theta=math.radians(theta_deg), sd_distance=d)
+            cell = replace(cfg, theta_deg=theta_deg, sd_distance=d)
             out.append(Scenario(nodes, *endpoint_positions(cell), cell))
     return out
 
@@ -216,7 +216,7 @@ def test_batch_over_shared_nodes_matches_single_floods():
                 scenarios, rows = [], []
                 for seed, views in zip((3, 4), fields):  # a field per trial
                     cfg = replace(base, n_nodes=views[-1], seed=seed, placement=placement,
-                                  direction_error_bound=math.radians(eps_deg))
+                                  direction_error_deg=eps_deg)
                     nodes = generate(cfg).nodes
                     for n in views:
                         scenarios += shared_field(replace(cfg, n_nodes=n), (5.0, 135.0, 360.0),
@@ -249,12 +249,12 @@ def test_floods_nest_in_n_at_oracle_free_sizes(eps_deg):
     sizes = (400, 1000, 2000, 3000)
     scenarios = []
     for seed in range(3):
-        cfg = ScenarioConfig(n_nodes=3000, seed=seed, direction_error_bound=math.radians(eps_deg))
+        cfg = ScenarioConfig(n_nodes=3000, seed=seed, direction_error_deg=eps_deg)
         nodes = generate(cfg).nodes
         for theta_deg in (45.0, 90.0, 135.0):
             for d in (1000.0, 2000.0):
                 for m in sizes:
-                    cell = replace(cfg, n_nodes=m, theta=math.radians(theta_deg), sd_distance=d)
+                    cell = replace(cfg, n_nodes=m, theta_deg=theta_deg, sd_distance=d)
                     scenarios.append(Scenario(nodes[:m], *endpoint_positions(cell), cell))
     batch = propagate_batch(scenarios)
     floods = [batch.outcome(b) for b in range(len(scenarios))]
@@ -281,7 +281,7 @@ def test_implicated_nodes_stay_within_the_disc_bound(eps_deg):
     distances = (300.0, 1000.0, 2000.0, 3000.0)
     worst, spread = 0.0, 0
     for seed in range(4):
-        cfg = ScenarioConfig(n_nodes=3000, seed=seed, direction_error_bound=math.radians(eps_deg))
+        cfg = ScenarioConfig(n_nodes=3000, seed=seed, direction_error_deg=eps_deg)
         scenarios = shared_field(cfg, thetas, distances)
         batch = propagate_batch(scenarios)
         for b, s in enumerate(scenarios):
@@ -304,7 +304,7 @@ def test_full_circle_covers_nodes_straight_behind_the_axis():
     assert -1.0 * ux[0] - 10.0 * uy[0] < -math.sqrt(101.0)
     diagonal = make_scenario([(499.0, 490.0)], src, (510.0, 600.0), theta_deg=360.0)
     axial = make_scenario([(400.0, 500.0)], src, (800.0, 500.0), theta_deg=360.0)
-    narrow = replace(diagonal, config=replace(diagonal.config, theta=math.radians(90.0)))
+    narrow = replace(diagonal, config=replace(diagonal.config, theta_deg=90.0))
     batch = propagate_batch([diagonal, axial, narrow])  # per-flood half-angles
     for b, scenario in enumerate((diagonal, axial, narrow)):
         want = brute_force_flood(scenario)
@@ -319,7 +319,7 @@ def test_full_circle_covers_nodes_straight_behind_the_axis():
 def test_batch_requires_shared_radius_and_aim_error():
     s = make_scenario([(100.0, 0.0)], (0.0, 0.0), (300.0, 0.0))
     wider = replace(s, config=replace(s.config, radius=250.0))
-    noisy = replace(s, config=replace(s.config, direction_error_bound=0.1))
+    noisy = replace(s, config=replace(s.config, direction_error_deg=5.729577951308232))
     for other in (wider, noisy):
         with pytest.raises(ValueError, match="share radius"):
             propagate_batch([s, other])
@@ -348,7 +348,7 @@ def test_destination_at_range_and_on_edge_ray_matches_oracle():
     for dest in dests:
         for err in errors:
             # the source alone: delivery is the oracle's verdict on the destination
-            s = make_scenario([], (0.0, 0.0), dest, theta_deg=60.0, eps=half)
+            s = make_scenario([], (0.0, 0.0), dest, theta_deg=60.0, eps_deg=30.0)
             axis = (math.atan2(dest[1], dest[0]) % TWO_PI + err) % TWO_PI
             sector = Sector(apex=Point2D(0.0, 0.0), axis=axis, half_angle=half, radius=200.0)
             assert propagate(s, FixedAim(err)).success == in_sector(Point2D(*dest), sector)
@@ -357,7 +357,7 @@ def test_destination_at_range_and_on_edge_ray_matches_oracle():
             sign = math.copysign(1.0, dest[0] or 1.0)
             relay = (dest[0] - 200.0 * sign, dest[1])
             s = make_scenario([relay], (relay[0] - 100.0 * sign, relay[1]), dest,
-                              theta_deg=60.0, eps=half)
+                              theta_deg=60.0, eps_deg=30.0)
             got = propagate(s, FixedAim(0.0, err))
             want = brute_force_flood(s, FixedAim(0.0, err))
             assert (got.success, got.first_delivery_hop, got.covered, got.implicated) == (
@@ -381,12 +381,12 @@ def test_batch_matches_brute_force_at_box_switch_points():
     thetas_deg = (math.degrees(1e-6), 90.0, 180.0, 270.0, 359.9, 360.0)
     base = ScenarioConfig(square_side=800.0, radius=220.0, sd_distance=120.0)
     delivered = set()
-    for eps in (0.0, math.pi):
+    for eps_deg in (0.0, 180.0):
         for placement in (Placement.FIXED_COUNT, Placement.POISSON_COUNT):
             scenarios = []
             for seed in (5, 6):
                 cfg = replace(base, n_nodes=40, seed=seed, placement=placement,
-                              direction_error_bound=eps)
+                              direction_error_deg=eps_deg)
                 scenarios += shared_field(cfg, thetas_deg, (120.0, 500.0))
             batch = propagate_batch(scenarios)
             for b, scenario in enumerate(scenarios):
@@ -396,7 +396,7 @@ def test_batch_matches_brute_force_at_box_switch_points():
                 assert (got.success, got.first_delivery_hop, got.implicated, got.covered,
                         got.rounds, got.per_round_transmitters) == (
                     want["success"], want["first_delivery_hop"], want["implicated"],
-                    want["covered"], want["rounds"], want["per_round_transmitters"]), (eps, b)
+                    want["covered"], want["rounds"], want["per_round_transmitters"]), (eps_deg, b)
                 delivered.add(got.success)
     assert delivered == {True, False}
 
@@ -413,11 +413,11 @@ def test_outcomes_do_not_depend_on_round_chunk(monkeypatch, chunk):
     for eps_deg in (0.0, 10.0):
         scenarios = []
         for seed in (31, 32):
-            cfg = replace(base, n_nodes=70, seed=seed, direction_error_bound=math.radians(eps_deg))
+            cfg = replace(base, n_nodes=70, seed=seed, direction_error_deg=eps_deg)
             scenarios += shared_field(cfg, (45.0, 135.0, 360.0), (150.0, 600.0))
             nodes = scenarios[-1].nodes
             for n in (0, 25):  # a view of the first n rows shares the field's group
-                cell = replace(cfg, n_nodes=n, theta=math.radians(120.0), sd_distance=500.0)
+                cell = replace(cfg, n_nodes=n, theta_deg=120.0, sd_distance=500.0)
                 scenarios.append(Scenario(nodes[:n], *endpoint_positions(cell), cell))
         batch = propagate_batch(scenarios)
         for b, scenario in enumerate(scenarios):
@@ -757,7 +757,7 @@ def edge_ray_scenes():
                     dest_at = (apex[0] + dest[0], apex[1] + dest[1])
                     # eps only turns the aiming stream on: FixedAim hands out err
                     scenes.append((make_scenario(nodes, apex, dest_at, theta_deg=theta_deg,
-                                                 eps=math.pi), FixedAim(err)))
+                                                 eps_deg=180.0), FixedAim(err)))
     return scenes
 
 
@@ -787,13 +787,13 @@ def test_batch_slots_follow_the_index_order():
     # covered holds each flood's slots in the index's sort order; outcome(b)
     # must map them back to node ids for fields of any size, an empty one,
     # and floods that share a field
-    base = ScenarioConfig(square_side=900.0, radius=180.0, theta=math.radians(100.0),
+    base = ScenarioConfig(square_side=900.0, radius=180.0, theta_deg=100.0,
                           sd_distance=500.0)
     fields = [generate(replace(base, n_nodes=n, seed=20 + n)).nodes for n in (150, 0, 40, 300)]
     scenarios = []
     for k, nodes in enumerate(fields):
         for theta_deg in ((80.0, 200.0) if k == 3 else (120.0,)):  # two floods share field 3
-            cfg = replace(base, n_nodes=len(nodes), theta=math.radians(theta_deg), seed=k)
+            cfg = replace(base, n_nodes=len(nodes), theta_deg=theta_deg, seed=k)
             scenarios.append(Scenario(nodes, *endpoint_positions(cfg), cfg))
     batch = propagate_batch(scenarios)
     assert len(batch.offsets) == len(scenarios) + 1
@@ -813,7 +813,7 @@ def test_batch_slots_follow_the_index_order():
 def test_leaf_confinement_inflated_by_radius():
     # implicated nodes stay within the chain polygon fattened by one radius
     cfg = ScenarioConfig(square_side=4000.0, n_nodes=3000, radius=200.0,
-                         theta=math.radians(90.0), sd_distance=1000.0, seed=77)
+                         theta_deg=90.0, sd_distance=1000.0, seed=77)
     scenario = generate(cfg)
     out = propagate(scenario)
     verts = build_leaf(cfg.sd_distance, cfg.radius, cfg.theta).vertices
@@ -861,7 +861,7 @@ def test_direction_error_is_actually_consumed():
     hits = set()
     for k in range(40):
         s = make_scenario([(190.0, 60.0)], (0.0, 0.0), (600.0, 0.0),
-                          theta_deg=30.0, eps=math.radians(60.0))
+                          theta_deg=30.0, eps_deg=60.0)
         out = propagate(s, np.random.default_rng(k))
         hits.add(0 in out.covered)
     assert hits == {True, False}
@@ -871,7 +871,7 @@ def test_coincident_endpoints_fail_gracefully():
     # sd_distance 0 puts the destination on top of the source; the apex
     # exclusion keeps it uncoverable and the flood must still terminate
     cfg = ScenarioConfig(square_side=1000.0, n_nodes=20, radius=200.0,
-                         theta=math.radians(90.0), sd_distance=0.0, seed=3)
+                         theta_deg=90.0, sd_distance=0.0, seed=3)
     out = propagate(generate(cfg))
     assert not out.success
     assert out.rounds >= 1
@@ -884,7 +884,7 @@ def test_floods_at_the_field_side_bounds_match_a_1000_m_field(side):
     def flood(side):
         k = side / 1000.0
         return propagate(generate(ScenarioConfig(square_side=side, n_nodes=300, radius=200.0 * k,
-                                                 theta=math.radians(90.0), sd_distance=500.0 * k,
+                                                 theta_deg=90.0, sd_distance=500.0 * k,
                                                  seed=3)))
     want = flood(1000.0)
     assert want.success and len(want.implicated) == 64

@@ -23,7 +23,7 @@ from sectorcast.scenario import ConfigError, Placement, ScenarioConfig, derive_s
 
 def small_config(**kw):
     defaults = dict(square_side=1500.0, n_nodes=120, radius=200.0,
-                    theta=math.radians(90.0), sd_distance=600.0, seed=5)
+                    theta_deg=90.0, sd_distance=600.0, seed=5)
     defaults.update(kw)
     return ScenarioConfig(**defaults)
 
@@ -80,7 +80,7 @@ def test_run_cell_single_source_degenerate_field():
 
 def test_run_cell_omnidirectional_full_range_always_succeeds():
     cfg = small_config(square_side=1000.0, n_nodes=30, radius=1500.0,
-                       theta=2 * math.pi, sd_distance=800.0)
+                       theta_deg=360.0, sd_distance=800.0)
     res = run_cell(cfg, trials=20)
     assert res.success_rate == 1.0
     assert res.mean_hops_on_success == 1.0
@@ -102,7 +102,7 @@ def test_run_cell_success_ratio_conditioning():
 
 
 def test_bandwidth_gain_identity_and_bound():
-    res = run_cell(small_config(theta=math.radians(67.5)), trials=10)
+    res = run_cell(small_config(theta_deg=67.5), trials=10)
     assert res.bandwidth_gain == pytest.approx(
         res.implicated_ratio_mean * 67.5 / 360.0, rel=1e-12)
     assert res.bandwidth_gain < res.implicated_ratio_mean
@@ -113,7 +113,7 @@ def test_success_ci_halfwidth_regimes():
     res = run_cell(cfg, trials=40)
     assert res.success_rate == 0.0
     assert 0.0 < res.success_ci_halfwidth < 0.1
-    sure = small_config(square_side=1000.0, radius=1500.0, theta=2 * math.pi,
+    sure = small_config(square_side=1000.0, radius=1500.0, theta_deg=360.0,
                         sd_distance=500.0, n_nodes=3)
     res2 = run_cell(sure, trials=40)  # always succeeds: exact at k = n
     assert res2.success_rate == 1.0
@@ -151,9 +151,9 @@ def test_model_fields_absent_when_degenerate_or_flagged():
     direct = run_cell(small_config(sd_distance=150.0), trials=2)
     assert direct.model_ratio is None
     assert direct.model_relative_error is None
-    flagged = run_cell(small_config(theta=math.radians(135.0)), trials=2)
+    flagged = run_cell(small_config(theta_deg=135.0), trials=2)
     assert flagged.model_ratio is None
-    eligible = run_cell(small_config(theta=math.radians(90.0)), trials=2)
+    eligible = run_cell(small_config(theta_deg=90.0), trials=2)
     assert eligible.model_ratio is not None
     assert eligible.model_relative_error is not None
 
@@ -173,7 +173,7 @@ def test_run_cell_rejects_bad_trials():
 
 def test_run_sweep_single_cell_equals_run_cell():
     cfg = small_config()
-    spec = SweepSpec(base=cfg, theta_values=(cfg.theta,), n_values=(cfg.n_nodes,),
+    spec = SweepSpec(base=cfg, theta_deg_values=(cfg.theta_deg,), n_values=(cfg.n_nodes,),
                      d_values=(cfg.sd_distance,), trials=8)
     assert run_sweep(spec) == [run_cell(cfg, trials=8)]
 
@@ -181,20 +181,20 @@ def test_run_sweep_single_cell_equals_run_cell():
 def test_run_sweep_order_and_cross_product():
     spec = SweepSpec(
         base=small_config(),
-        theta_values=tuple(math.radians(t) for t in (90.0, 45.0)),
+        theta_deg_values=(90.0, 45.0),
         n_values=(80, 40),
         d_values=(600.0, 400.0),
         trials=2,
     )
     results = run_sweep(spec)
     assert len(results) == 8
-    keys = [(r.sd_distance, r.n_nodes, r.theta) for r in results]
+    keys = [(r.sd_distance, r.n_nodes, r.theta_deg) for r in results]
     assert keys == sorted(keys)
     assert all(r.bandwidth_gain < r.implicated_ratio_mean for r in results)
     # list order in the spec does not matter
     spec_shuffled = replace(
         spec,
-        theta_values=tuple(reversed(spec.theta_values)),
+        theta_deg_values=tuple(reversed(spec.theta_deg_values)),
         n_values=tuple(reversed(spec.n_values)),
         d_values=tuple(reversed(spec.d_values)),
     )
@@ -203,12 +203,12 @@ def test_run_sweep_order_and_cross_product():
 
 def test_run_sweep_names_invalid_cell():
     spec = SweepSpec(base=small_config(), d_values=(600.0, 5000.0), trials=1,
-                     theta_values=(math.radians(90.0),), n_values=(10,))
+                     theta_deg_values=(90.0,), n_values=(10,))
     with pytest.raises(ConfigError, match="d=5000"):
         run_sweep(spec)
 
 
-@pytest.mark.parametrize("field", ["theta_values", "n_values", "d_values"])
+@pytest.mark.parametrize("field", ["theta_deg_values", "n_values", "d_values"])
 def test_sweep_spec_rejects_an_empty_list(field):
     with pytest.raises(ConfigError, match="sweep value lists must be non-empty"):
         SweepSpec(base=small_config(), **{field: ()})
@@ -216,7 +216,7 @@ def test_sweep_spec_rejects_an_empty_list(field):
 
 def test_sweep_default_grid_shape():
     spec = SweepSpec(base=small_config())
-    assert len(spec.theta_values) * len(spec.n_values) * len(spec.d_values) == 54
+    assert len(spec.theta_deg_values) * len(spec.n_values) * len(spec.d_values) == 54
 
 
 def test_workers_match_serial(monkeypatch):
@@ -235,8 +235,8 @@ def test_batches_match_per_trial_propagate(monkeypatch, workers):
         base,
         replace(base, placement=Placement.POISSON_COUNT),
         replace(base, placement=Placement.POISSON_COUNT, square_side=1000.0, radius=300.0,
-                theta=math.radians(60.0), direction_error_bound=math.radians(10.0)),
-        replace(base, theta=2 * math.pi, radius=650.0),  # d <= r: no leaf model
+                theta_deg=60.0, direction_error_deg=10.0),
+        replace(base, theta_deg=360.0, radius=650.0),  # d <= r: no leaf model
     ]
     assert experiments._units([base], 7) == [([0], 0, 1), ([0], 1, 3), ([0], 3, 5), ([0], 5, 7)]
     for cfg in cells:
@@ -248,7 +248,7 @@ def test_batches_match_per_trial_propagate(monkeypatch, workers):
     # N 30 cells of a d hold 62 slots a trial and a third, at N 60, would
     # allocate 183
     spec = SweepSpec(base=replace(base, radius=650.0),
-                     theta_values=(math.radians(45.0), 2 * math.pi),
+                     theta_deg_values=(45.0, 360.0),
                      n_values=(30, 60), d_values=(600.0, 800.0), trials=5)
     cells = spec.cells()
     units = experiments._units(cells, 5)
@@ -266,7 +266,7 @@ def test_mixed_n_sweeps_match_per_cell_trials(monkeypatch, workers):
     # N 0, 25 and 60 cells, packed by a small budget into chunks that mix N,
     # must give each cell's own per-trial rows
     monkeypatch.setattr(experiments, "BATCH_ROWS", 150)
-    spec = SweepSpec(base=small_config(seed=3), theta_values=(math.radians(45.0), 2 * math.pi),
+    spec = SweepSpec(base=small_config(seed=3), theta_deg_values=(45.0, 360.0),
                      n_values=(0, 25, 60), d_values=(600.0, 800.0), trials=4)
     cells = spec.cells()
     units = experiments._units(cells, 4)
@@ -306,7 +306,7 @@ def test_sweeps_draw_each_field_once(monkeypatch, placement, fields):
     monkeypatch.setattr(experiments, "derive_seed", derive_seed)
     monkeypatch.setattr(experiments, "generate", generate)
     spec = SweepSpec(base=small_config(placement=placement),
-                     theta_values=(math.radians(45.0), math.radians(90.0)),
+                     theta_deg_values=(45.0, 90.0),
                      n_values=(20, 40, 60), d_values=(600.0, 800.0), trials=6)
     run_sweep(spec)
     assert sorted(seeds) == sorted(list(range(6)) * len(fields))
@@ -349,7 +349,7 @@ def test_workers_clamped_to_cpus_and_trials(monkeypatch):
     # trial's field is flooded by chunks of 2 cells, one trial a unit
     pool.started.clear()
     pool.units.clear()
-    spec = SweepSpec(base=cfg, theta_values=(math.radians(45.0), math.radians(90.0)),
+    spec = SweepSpec(base=cfg, theta_deg_values=(45.0, 90.0),
                      n_values=(40,), d_values=(400.0, 600.0), trials=2)
     assert same_cells(run_sweep(spec, workers=5000), run_sweep(spec))
     assert pool.started == [4]
@@ -374,7 +374,7 @@ def test_units_fit_slot_budget(monkeypatch):
     pool = recording_pool(monkeypatch, no_flood)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     spec = SweepSpec(base=small_config(square_side=4000.0),
-                     theta_values=tuple(math.radians(3.0 * k) for k in range(1, 61)),
+                     theta_deg_values=tuple(3.0 * k for k in range(1, 61)),
                      n_values=(3000,), d_values=(1000.0, 2000.0, 3000.0), trials=7)
     results = run_sweep(spec, workers=2)
     assert len(results) == 180 and all(r.trials == 7 for r in results)
@@ -383,7 +383,7 @@ def test_units_fit_slot_budget(monkeypatch):
     for configs, first, stop in pool.units:
         assert allocated_slots(configs, first, stop) <= experiments.BATCH_ROWS
         for cfg in configs:
-            seen.setdefault((cfg.theta, cfg.sd_distance), []).extend(range(first, stop))
+            seen.setdefault((cfg.theta_deg, cfg.sd_distance), []).extend(range(first, stop))
     assert len(seen) == 180 and all(trials == list(range(7)) for trials in seen.values())
 
 
@@ -407,7 +407,7 @@ def test_units_index_one_field_a_trial_within_the_slot_budget(monkeypatch):
 
     monkeypatch.setattr(engine, "build_index", counting_index)
     monkeypatch.setattr(experiments, "propagate_batch", counting_flood)
-    spec = SweepSpec(base=small_config(seed=3), theta_values=(math.radians(45.0), 2 * math.pi),
+    spec = SweepSpec(base=small_config(seed=3), theta_deg_values=(45.0, 360.0),
                      n_values=(0, 25, 60), d_values=(600.0, 800.0), trials=4)
     run_sweep(spec)
     units = experiments._units(spec.cells(), spec.trials)
@@ -424,7 +424,7 @@ def test_units_bound_allocated_slots_for_any_n_list(monkeypatch):
     pool = recording_pool(monkeypatch, no_flood)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     spec = SweepSpec(base=small_config(square_side=4000.0),
-                     theta_values=tuple(math.radians(4.5 * k) for k in range(1, 41)),
+                     theta_deg_values=tuple(4.5 * k for k in range(1, 41)),
                      n_values=(0, 20_000), d_values=(1000.0,), trials=3)
     assert len(run_sweep(spec, workers=2)) == 80
     assert [(len(configs), first, stop) for configs, first, stop in pool.units] == (
@@ -434,6 +434,6 @@ def test_units_bound_allocated_slots_for_any_n_list(monkeypatch):
     # one cell past the budget still gets a unit of one trial
     monkeypatch.setattr(experiments, "BATCH_ROWS", 10_000)
     pool.units.clear()
-    run_sweep(replace(spec, theta_values=spec.theta_values[:2]), workers=2)
+    run_sweep(replace(spec, theta_deg_values=spec.theta_deg_values[:2]), workers=2)
     assert [(len(configs), first, stop) for configs, first, stop in pool.units] == (
         [(2, 0, 3)] + [(1, t, t + 1) for _ in range(2) for t in range(3)])

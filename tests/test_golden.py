@@ -57,7 +57,7 @@ GOLDEN = {
                              "54f0a78cb838df98e26759dc0674ab4385fb062d60e6b0b6c28eb4ba59f68893"),
     "compare.csv": (["compare", *SMALL, "--set", "sweep.theta_deg=60, 120",
                      "--set", "sweep.n_nodes=80", "--set", "sweep.trials=5"],
-                    "cc91a95b8d28e0539f506930f3d0ada149160ebebd21fc80d0389736b0c389f3"),
+                    "abc033cfd43b04d022d835c0e2152d2d945244e0fa08e4c64c4e61c52808c296"),
     "simulate.json": (["simulate", *SMALL, "--set", "n_nodes=300",
                        "--set", "direction_error_deg=10"],
                       "bcf5a0bae8de2a42e7355fd21ea30bbcf4a0e63b36fbc918f1a0d9295e5cbd39"),
@@ -95,18 +95,19 @@ def corpus_batches(count, seed):
         radius = min(side, side * math.sqrt(degree / (math.pi * max(50, *sizes))))
         base = ScenarioConfig(square_side=side, sd_distance=0.0, radius=radius,
                               placement=placements[rng.integers(2)],
-                              direction_error_bound=float(rng.choice([0.0, 0.17, 0.8])))
-        thetas = [math.radians(float(t)) for t in rng.uniform(1.0, 360.0, rng.integers(1, 7))]
+                              direction_error_deg=float(
+                                  rng.choice([0.0, math.degrees(0.17), 45.83662361046586])))
+        thetas = [float(t) for t in rng.uniform(1.0, 360.0, rng.integers(1, 7))]
         if rng.random() < 0.3:
-            thetas[-1] = 2 * math.pi
+            thetas[-1] = 360.0
         scenarios = []
         for n in sizes:
             cfg = replace(base, n_nodes=n, seed=int(rng.integers(2**63)))
             nodes = generate(cfg).nodes
             for view in (nodes, nodes[:len(nodes) // 2]):
                 d = float(rng.choice([0.0, side, rng.uniform(0.0, side)], p=[0.1, 0.1, 0.8]))
-                for theta in thetas:
-                    cell = replace(cfg, theta=theta, sd_distance=d)
+                for theta_deg in thetas:
+                    cell = replace(cfg, theta_deg=theta_deg, sd_distance=d)
                     scenarios.append(Scenario(view, *endpoint_positions(cell), cell))
         yield scenarios
 

@@ -12,7 +12,7 @@ from sectorcast.scenario import ScenarioConfig, generate
 
 def render_for(**kw):
     defaults = dict(square_side=2000.0, n_nodes=50, radius=200.0,
-                    theta=math.radians(60.0), sd_distance=800.0, seed=21)
+                    theta_deg=60.0, sd_distance=800.0, seed=21)
     defaults.update(kw)
     scenario = generate(ScenarioConfig(**defaults))
     return scenario, render_svg(scenario, propagate(scenario))
@@ -65,7 +65,7 @@ def test_node_dots_match_scalar_mapping():
     # the node layers map all coordinates in one numpy pass; every dot must
     # print as the scalar per-node mapping prints it, in the same order
     for seed, n in ((3, 400), (4, 1), (5, 0)):
-        scenario, svg = render_for(n_nodes=n, seed=seed, theta=math.radians(150.0))
+        scenario, svg = render_for(n_nodes=n, seed=seed, theta_deg=150.0)
         relays = propagate(scenario).implicated - {-1}
         scale = 800.0 / 2000.0
 

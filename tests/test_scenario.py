@@ -1,11 +1,14 @@
 """Scenario generation: placement, determinism, validation."""
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sectorcast
 from sectorcast.scenario import (
     MAX_NODES,
     ConfigError,
@@ -19,7 +22,7 @@ from sectorcast.scenario import (
 
 def make_config(**kw):
     defaults = dict(square_side=4000.0, n_nodes=2000, radius=200.0,
-                    theta=math.radians(90.0), sd_distance=1000.0, seed=42)
+                    theta_deg=90.0, sd_distance=1000.0, seed=42)
     defaults.update(kw)
     return ScenarioConfig(**defaults)
 
@@ -29,14 +32,14 @@ def make_config(**kw):
     dict(square_side=-10.0),
     dict(n_nodes=-1),
     dict(radius=0.0),
-    dict(theta=0.0),
-    dict(theta=2 * math.pi + 0.1),
+    dict(theta_deg=0.0),
+    dict(theta_deg=365.7295779513082),
     dict(sd_distance=-1.0),
     dict(sd_distance=4001.0),
     dict(seed=-1),
     dict(seed=2**64),
-    dict(direction_error_bound=-0.1),
-    dict(direction_error_bound=math.pi + 0.1),
+    dict(direction_error_deg=-5.729577951308232),
+    dict(direction_error_deg=185.72957795130824),
     dict(n_nodes=MAX_NODES + 1),
     dict(square_side=1e160, radius=2e159, sd_distance=5e159),  # squares overflow
     dict(square_side=1e-200, radius=2e-201, sd_distance=5e-201),  # squares underflow
@@ -145,3 +148,28 @@ def test_poisson_fields_are_not_always_prefixes():
                                        placement=Placement.POISSON_COUNT)).nodes for n in (30, 60))
     assert len(small) <= len(big)
     assert small.tobytes() != big[:len(small)].tobytes()
+
+
+def test_only_scenario_config_converts_angle_units():
+    # angles are degrees from config to output; ScenarioConfig's theta and
+    # direction_error_bound properties are the library's only conversion
+    def conversions(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and getattr(call.func, "attr", getattr(call.func, "id", None))
+                in {"radians", "degrees", "deg2rad", "rad2deg"}]
+
+    stray, owned = [], 0
+    for path in sorted(Path(sectorcast.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        allowed = set()
+        for node in ast.walk(tree):
+            if (path.name == "scenario.py" and isinstance(node, ast.ClassDef)
+                    and node.name == "ScenarioConfig"):
+                for prop in node.body:
+                    if (isinstance(prop, ast.FunctionDef)
+                            and prop.name in ("theta", "direction_error_bound")):
+                        allowed.update(map(id, conversions(prop)))
+        owned += len(allowed)
+        stray += [f"{path.name}:{call.lineno}" for call in conversions(tree)
+                  if id(call) not in allowed]
+    assert stray == [] and owned == 2
