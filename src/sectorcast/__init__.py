@@ -4,10 +4,8 @@ from .leafmodel import (
     DegenerateLeafError,
     LeafModel,
     build_leaf,
-    next_edge,
     predicted_ratio,
     relative_error,
-    triangle_area,
 )
 from .scenario import (
     ConfigError,
@@ -39,7 +37,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DegenerateLeafError", "LeafModel", "build_leaf",
-    "next_edge", "predicted_ratio", "relative_error", "triangle_area",
+    "predicted_ratio", "relative_error",
     "ConfigError", "Placement", "Point2D", "Scenario", "ScenarioConfig",
     "derive_seed", "generate",
     "SOURCE_ID", "BroadcastOutcome", "propagate", "propagate_batch",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -142,8 +143,10 @@ def cmd_model(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
             "total area: 0 m^2",
             "predicted implicated ratio: 0",
         ]
-    except ValueError as exc:  # d = 0, theta = 360 deg or a chain past MAX_TRIANGLES
-        raise ConfigError(f"no triangle-chain model for this cell: {exc}") from exc
+    except ValueError as exc:  # d = 0, a full circle or a chain past MAX_TRIANGLES
+        cause = (f"theta_deg must be below 360, got {config.theta_deg:g}"
+                 if config.theta >= math.tau else exc)  # build_leaf speaks radians
+        raise ConfigError(f"no triangle-chain model for this cell: {cause}") from exc
     else:
         lines.append("edge lengths d_i (m): "
                      + ", ".join(f"{v:.6f}" for v in model.d_seq))

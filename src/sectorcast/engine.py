@@ -7,26 +7,27 @@ are covered, newly covered nodes relay exactly once in the next round, and
 the flood runs until no transmitters remain, whether or not the destination
 was reached earlier.
 
-propagate_batch floods many scenarios together: each round tests every
-(transmitter, candidate) pair of every flood in a few numpy passes, where a
-transmitter's candidates are the index's nodes in its sector's bounding
-box.  The index holds nodes only, one group per field: scenarios whose
-nodes are row-prefix views of one array (the cells of a sweep trial, of any
-theta, d and n_nodes) share one group.  Each flood keeps its own covered
-slots, one per row of its group, laid out in the index's sort order, so a
-candidate run of the index is a run of the flood's slots and covered
-candidates are dropped before any coordinate is gathered; the rows past a
-flood's own nodes start covered.  sector_hits marks a round's hits covered
-and returns each fresh slot once.  Each transmitter tests its own
-destination as one extra point.  propagate is the one-flood call.
+flood_fields is the kernel: each flood runs over the first n_nodes rows
+of a field with its own beam and endpoints, so the floods of a sweep
+trial, of any theta, d and n_nodes, share one field.  Each round tests
+every (transmitter, candidate) pair of every flood in a few numpy passes,
+where a transmitter's candidates are the index's nodes in its sector's
+bounding box.  The index holds nodes only, one group per field.  Each
+flood keeps its own covered slots, one per row of its field, laid out in
+the index's sort order, so a candidate run of the index is a run of the
+flood's slots and covered candidates are dropped before any coordinate is
+gathered; the rows past a flood's own nodes start covered.  sector_hits
+marks a round's hits covered and returns each fresh slot once.  Each
+transmitter tests its own destination as one extra point.
+propagate_batch floods scenarios, a field each; propagate floods one.
 
 Axes come from numpy's vector trig, which may differ from the scalar math
 of the in_sector oracle in the last bits; every pair within NEAR of its
 sector's edge is decided again with the scalar aim_vectors axis, so each
 decision is the oracle's.
 
-Node identifiers: ordinary nodes are their row index in scenario.nodes,
-the destination is index n_nodes, and the source is SOURCE_ID (-1).
+Node identifiers: ordinary nodes are their row index in their field, the
+destination is index n_nodes, and the source is SOURCE_ID (-1).
 """
 
 from __future__ import annotations
@@ -259,15 +260,15 @@ def build_index(fields: Sequence[np.ndarray], radius: float) -> GridIndex:
 
 @dataclass(frozen=True)
 class BatchOutcome:
-    """Floods of a batch of scenarios.
+    """Floods of a flood_fields batch.
 
     Flood b owns slots offsets[b] .. offsets[b + 1] - 1 of covered, one per
-    row of its index group's field, of which its own nodes are the first
-    n_nodes[b], in the sort order of the batch's GridIndex, not in node
-    order: slot offsets[b] + k is row order[base[b] + k] - base[b].  That
-    layout follows the index and changes with it; outcome(b) maps the slots
-    back to node ids.  Every covered node relays exactly once, so a flood's
-    transmitters are its source and its covered nodes.
+    row of its field, of which its own nodes are the first n_nodes[b], in
+    the sort order of the batch's GridIndex, not in node order: slot
+    offsets[b] + k is row order[base[b] + k] - base[b].  That layout follows
+    the index and changes with it; outcome(b) maps the slots back to node
+    ids.  Every covered node relays exactly once, so a flood's transmitters
+    are its source and its covered nodes.
     """
 
     offsets: np.ndarray    # (B + 1,) slot offsets
@@ -305,97 +306,67 @@ class BatchOutcome:
         )
 
 
-def propagate_batch(scenarios: Sequence[Scenario],
-                    rngs: Sequence[np.random.Generator] | None = None) -> BatchOutcome:
-    """Flood every scenario to exhaustion, all in lockstep.
+def aim_errors(seed: int, bound: float, size: int) -> np.ndarray:
+    """The first size draws, uniform in [-bound, bound], of the aiming stream
+    SeedSequence((seed, 1)).  The stream is prefix-stable: the first k draws
+    do not depend on size."""
+    return np.random.default_rng(np.random.SeedSequence((seed, 1))).uniform(-bound, bound, size)
 
-    The scenarios share radius and direction_error_bound; theta, endpoints
-    and nodes may differ, and row-prefix views of one array share an index
-    group.  Direction errors are drawn up front and keyed by node id, so
-    outcomes are independent of iteration order and batching.  rngs[b]
-    supplies scenario b's errors; by default they come from the aiming
-    stream SeedSequence((seed, 1)) of its config seed, drawn once for all
-    scenarios with the same group and seed: the stream is prefix-stable, so
-    a view of n rows reads the draws it would alone.  Streams are only
-    consumed when direction_error_bound is nonzero.
+
+def flood_fields(fields: Sequence[np.ndarray], field_of: Sequence[int], n_nodes: Sequence[int],
+                 theta: Sequence[float], ends: np.ndarray, radius: float,
+                 errors: Sequence[np.ndarray] | None = None) -> BatchOutcome:
+    """Flood every flood to exhaustion, all in lockstep.
+
+    Flood b runs over the first n_nodes[b] rows of fields[field_of[b]], with
+    a beam of theta[b] radians, from (ends[0, b], ends[1, b]) to (ends[2, b],
+    ends[3, b]).  errors[g] holds field g's aiming draws, draw 0 for the
+    source and draw r + 1 for row r; None means no aiming error.
     """
-    cfg = scenarios[0].config
-    shared = (cfg.radius, cfg.direction_error_bound)
-    if any((s.config.radius, s.config.direction_error_bound) != shared for s in scenarios):
-        raise ValueError("a batch must share radius and direction_error_bound")
-    n_floods = len(scenarios)
-    # row-prefix views of one array (same data pointer, strides and dtype)
-    # share a group, which holds the longest of them
-    keys: dict[int, tuple] = {}  # id(nodes) -> group key
-    longest: dict[tuple, np.ndarray] = {}
-    for s in scenarios:
-        if id(s.nodes) not in keys:
-            nodes = s.nodes
-            key = keys[id(nodes)] = (nodes.__array_interface__["data"][0], nodes.strides,
-                                     nodes.dtype.str)
-            if len(nodes) >= len(longest.get(key, ())):
-                longest[key] = nodes
-    group = {key: g for g, key in enumerate(longest)}
-    field_of = np.array([group[keys[id(s.nodes)]] for s in scenarios], np.int64)
-    fields = list(longest.values())
-    index = build_index(fields, cfg.radius)
+    field_of = np.asarray(field_of, np.int64)
+    n_nodes = np.asarray(n_nodes, np.int64)
+    n_floods = len(field_of)
+    index = build_index(fields, radius)
     sizes = np.array([len(f) for f in fields], np.int64)
     field_start = np.concatenate(([0], np.cumsum(sizes)))
-    n_nodes = np.array([len(s.nodes) for s in scenarios], np.int64)
     offsets = np.concatenate(([0], np.cumsum(sizes[field_of])))
     # flood b's slot of sorted position p is p + shift[b]
     shift = offsets[:-1] - field_start[field_of]
     covered = np.zeros(offsets[-1], dtype=bool)
-    # a flood over the first n rows of its group: the slots of the rows
+    # a flood over the first n rows of its field: the slots of the rows
     # past n start covered, so no transmitter tests them, and are cleared
     # after the last round
-    starts, ends = field_start.tolist(), offsets.tolist()
-    partial = [(slice(ends[b], ends[b + 1]), g, n)
+    starts, stops = field_start.tolist(), offsets.tolist()
+    partial = [(slice(stops[b], stops[b + 1]), g, n)
                for b, (g, n) in enumerate(zip(field_of.tolist(), n_nodes.tolist()))
                if n < starts[g + 1] - starts[g]]
-    past = {}  # (group, n) -> per sorted position of the group: row >= n
+    past = {}  # (field, n) -> per sorted position of the field: row >= n
     for slots, g, n in partial:
         if (g, n) not in past:
             past[g, n] = index.order[starts[g]:starts[g + 1]] >= starts[g] + n
         covered[slots] = past[g, n]
 
-    eps = cfg.direction_error_bound
-    src_delta = np.zeros(n_floods)
-    if eps > 0.0:
-        # rows of draws, one per (group, seed) or, with rngs, one per flood:
-        # draw 0 belongs to the source and draw r + 1 to row r of the field,
-        # which flood b reads at node_delta[row of all fields + delta_shift[b]]
-        if rngs is None:
-            row_keys = list(zip(field_of.tolist(), (s.config.seed for s in scenarios)))
-            draws = {(g, seed): np.random.default_rng(np.random.SeedSequence((seed, 1))).uniform(
-                -eps, eps, size=sizes[g] + 1) for g, seed in dict.fromkeys(row_keys)}
-        else:
-            row_keys = range(n_floods)
-            draws = {b: rng.uniform(-eps, eps, size=len(s.nodes) + 1)
-                     for b, (rng, s) in enumerate(zip(rngs, scenarios))}
-        row_at = dict(zip(draws, np.cumsum([0, *map(len, draws.values())]).tolist()))
-        row_start = np.array([row_at[key] for key in row_keys], np.int64)
-        node_delta = np.concatenate(list(draws.values()))
-        src_delta = node_delta[row_start]
+    tx_delta = np.zeros(n_floods)
+    if errors is not None:
+        # flood b reads row r's draw at node_delta[row of all fields + delta_shift[b]]
+        row_start = np.concatenate(([0], np.cumsum([len(e) for e in errors])))[field_of]
+        node_delta = np.concatenate(errors)
+        tx_delta = node_delta[row_start]
         delta_shift = row_start + 1 - field_start[field_of]
 
-    r2 = cfg.radius * cfg.radius
-    halves = np.array([s.config.theta / 2.0 for s in scenarios])
+    r2 = radius * radius
+    halves = np.asarray(theta, dtype=float) / 2.0
     cos_half = np.array([FULL_CIRCLE if h >= math.pi else math.cos(h) for h in halves.tolist()])
     box_half = np.minimum(halves + BOX_SLACK, math.pi)
     wide = np.array((np.cos(box_half), np.sin(box_half)))
     one_beam = bool((halves == halves[0]).all())  # then sector_hits takes scalars
-    dest_x = np.array([s.destination.x for s in scenarios])
-    dest_y = np.array([s.destination.y for s in scenarios])
+    tx_x, tx_y, dest_x, dest_y = np.asarray(ends, dtype=float)
     # a chunk hits at most ROUND_CHUNK plus one field's nodes, well below 2^31
     stamp = np.zeros(offsets[-1], dtype=np.int32)
     first_hop = np.zeros(n_floods, dtype=np.int64)
     per_round = []
 
     tx_flood = np.arange(n_floods)
-    tx_x = np.array([s.source.x for s in scenarios])
-    tx_y = np.array([s.source.y for s in scenarios])
-    tx_delta = src_delta
     while len(tx_flood):
         per_round.append(np.bincount(tx_flood, minlength=n_floods))
         dx, dy = dest_x[tx_flood] - tx_x, dest_y[tx_flood] - tx_y
@@ -415,8 +386,7 @@ def propagate_batch(scenarios: Sequence[Scenario],
         tx_flood = offsets.searchsorted(fresh, side="right") - 1
         pos = fresh - shift[tx_flood]
         tx_x, tx_y = index.sorted_x[pos], index.sorted_y[pos]
-        # without aiming errors every delta is zero
-        tx_delta = (node_delta[index.order[pos] + delta_shift[tx_flood]] if eps > 0.0
+        tx_delta = (node_delta[index.order[pos] + delta_shift[tx_flood]] if errors is not None
                     else np.zeros(len(pos)))
 
     for slots, g, n in partial:  # still covered: no transmitter tested them
@@ -424,6 +394,31 @@ def propagate_batch(scenarios: Sequence[Scenario],
     return BatchOutcome(offsets=offsets, covered=covered, first_hop=first_hop,
                         per_round=np.array(per_round).reshape(-1, n_floods),
                         order=index.order, base=field_start[field_of], n_nodes=n_nodes)
+
+
+def propagate_batch(scenarios: Sequence[Scenario],
+                    rngs: Sequence[np.random.Generator] | None = None) -> BatchOutcome:
+    """Flood every scenario to exhaustion, all in lockstep: flood_fields
+    with one field per scenario.
+
+    The scenarios share radius and direction_error_bound; theta, endpoints
+    and nodes may differ.  Direction errors are drawn up front and keyed by
+    node id, so outcomes are independent of iteration order and batching:
+    rngs[b] supplies scenario b's, by default aim_errors of its config seed,
+    and streams are only consumed when direction_error_bound is nonzero.
+    """
+    cfg = scenarios[0].config
+    shared = (cfg.radius, cfg.direction_error_bound)
+    if any((s.config.radius, s.config.direction_error_bound) != shared for s in scenarios):
+        raise ValueError("a batch must share radius and direction_error_bound")
+    eps = cfg.direction_error_bound
+    errors = None if eps == 0.0 else [
+        aim_errors(s.config.seed, eps, len(s.nodes) + 1) if rngs is None
+        else rngs[b].uniform(-eps, eps, len(s.nodes) + 1) for b, s in enumerate(scenarios)]
+    ends = [(s.source.x, s.source.y, s.destination.x, s.destination.y) for s in scenarios]
+    return flood_fields([s.nodes for s in scenarios], range(len(scenarios)),
+                        [len(s.nodes) for s in scenarios], [s.config.theta for s in scenarios],
+                        np.array(ends).T, cfg.radius, errors)
 
 
 def propagate(scenario: Scenario, rng: np.random.Generator | None = None) -> BroadcastOutcome:

@@ -9,10 +9,10 @@ cell of a sweep floods a prefix of one field; a Poisson field need not be
 a prefix of a larger one, so there only the cells with one n_nodes share it.
 A sweep therefore runs in units of (cells sharing a field draw, trial
 range): a unit derives each trial seed once, generates each field once, at
-its largest n_nodes, and floods all its cells' trials in one lockstep
-batch.  Results are reproducible and independent of execution order:
-neither the units nor optional process-level parallelism change anything
-but wall time.
+its largest n_nodes, and passes the fields and its cells' theta, n_nodes
+and endpoints to one flood_fields call.  Results are reproducible and
+independent of execution order: neither the units nor optional
+process-level parallelism change anything but wall time.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # propagate stays importable here: trace tools wrap experiments.propagate
-from .engine import propagate, propagate_batch  # noqa: F401
+from .engine import aim_errors, flood_fields, propagate  # noqa: F401
 from .leafmodel import build_leaf, predicted_ratio, relative_error
-from .scenario import (ConfigError, Placement, Scenario, ScenarioConfig, derive_seed,
-                       endpoint_positions, generate)
+from .scenario import (ConfigError, Placement, ScenarioConfig, derive_seed, endpoint_positions,
+                       generate)
 
 DEFAULT_TRIALS = 500
 MAX_TRIALS = 100_000
@@ -60,6 +60,7 @@ class SweepSpec:
     trials: int = DEFAULT_TRIALS
 
     def __post_init__(self):
+        object.__setattr__(self, "theta_deg_values", tuple(map(float, self.theta_deg_values)))
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
         if not (self.theta_deg_values and self.n_values and self.d_values):
@@ -149,25 +150,27 @@ def _run_unit(configs: list[ScenarioConfig], first: int,
     """Trials first..stop-1 of cells sharing a base seed and a field draw:
     (success, implicated ratio, hops-or-0) arrays of shape (cells, trials).
 
-    Each trial's field is generated once, at the cells' largest n_nodes; a
-    cell with fewer nodes floods a view of its first n_nodes rows, so every
-    flood of a trial shares one index group.
+    Each trial's field is generated once, at the cells' largest n_nodes, and
+    flooded by every cell: a cell at that n_nodes floods the whole field (a
+    Poisson field holds its drawn count), a smaller one its first n_nodes rows.
     """
-    ends = [endpoint_positions(cfg) for cfg in configs]  # independent of the seed
-    top = max(range(len(configs)), key=lambda k: configs[k].n_nodes)
-    most = configs[top].n_nodes
-    sizes = {cfg.n_nodes for cfg in configs}
-    scenarios = []
+    top = max(configs, key=lambda cfg: cfg.n_nodes)
+    eps = top.direction_error_bound
+    fields, n_nodes, errors = [], [], []
     for t in range(first, stop):
-        seed = derive_seed(configs[0].seed, t)
-        trial = [replace(cfg, seed=seed) for cfg in configs]
-        nodes = generate(trial[top]).nodes
-        views = {n: nodes if n == most else nodes[:n] for n in sizes}
-        scenarios += [Scenario(views[cfg.n_nodes], *end, cfg) for end, cfg in zip(ends, trial)]
-    flood = propagate_batch(scenarios)
-    shape = (stop - first, len(configs))
-    ratio = flood.implicated.reshape(shape) / [cfg.n_nodes + 1 for cfg in configs]
-    return tuple(a.reshape(shape).T for a in (flood.reached, ratio, flood.first_hop))
+        seed = derive_seed(top.seed, t)
+        nodes = generate(replace(top, seed=seed)).nodes
+        fields.append(nodes)
+        n_nodes += [len(nodes) if cfg.n_nodes == top.n_nodes else cfg.n_nodes for cfg in configs]
+        if eps > 0.0:
+            errors.append(aim_errors(seed, eps, len(nodes) + 1))
+    trials, cells = len(fields), len(configs)
+    ends = [[p.x, p.y, q.x, q.y] for p, q in map(endpoint_positions, configs)]
+    flood = flood_fields(fields, np.arange(trials).repeat(cells), n_nodes,
+                         np.tile([cfg.theta for cfg in configs], trials),
+                         np.tile(np.array(ends).T, trials), top.radius, errors or None)
+    ratio = flood.implicated.reshape(trials, cells) / [cfg.n_nodes + 1 for cfg in configs]
+    return tuple(a.reshape(trials, cells).T for a in (flood.reached, ratio, flood.first_hop))
 
 
 def _success_halfwidth(successes: int, trials: int) -> float:

@@ -61,20 +61,6 @@ def _check_theta(theta: float) -> None:
         raise ValueError(f"theta must be in (0, 2*pi), got {theta}")
 
 
-def next_edge(d_prev: float, r: float, theta: float) -> float:
-    """Next chain edge length: sqrt(d_prev^2 + r^2 - 2 r d_prev cos(theta/2))."""
-    _check_positive(d_prev=d_prev, r=r)
-    _check_theta(theta)
-    return math.sqrt(d_prev * d_prev + r * r - 2.0 * r * d_prev * math.cos(theta / 2.0))
-
-
-def triangle_area(d_edge: float, r: float, theta: float) -> float:
-    """Area of a chain triangle with edge d_edge: 0.5 * r * d_edge * sin(theta/2)."""
-    _check_positive(d_edge=d_edge, r=r)
-    _check_theta(theta)
-    return 0.5 * r * d_edge * math.sin(theta / 2.0)
-
-
 def build_leaf(d: float, r: float, theta: float) -> LeafModel:
     """Iterate the edge recurrence from d_0 = d and accumulate triangle areas.
 
@@ -93,7 +79,7 @@ def build_leaf(d: float, r: float, theta: float) -> LeafModel:
     if d <= r:
         raise DegenerateLeafError(f"d={d} <= r={r}: direct delivery, empty chain")
 
-    # each step is next_edge and triangle_area's arithmetic, validated once above
+    # each step is tests/oracles.py's next_edge and triangle_area, validated once above
     cos_half, sin_half = math.cos(theta / 2.0), math.sin(theta / 2.0)
     seq, areas, verts = [d], [], [(d, 0.0)]
     vx, vy = verts[0]

@@ -70,6 +70,8 @@ class ScenarioConfig:
         return math.radians(self.direction_error_deg)
 
     def __post_init__(self):
+        for name in ("theta_deg", "direction_error_deg"):  # integer degrees print as floats
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not MIN_SQUARE_SIDE <= self.square_side <= MAX_SQUARE_SIDE:
             raise ConfigError(f"square_side must be in [{MIN_SQUARE_SIDE:g}, "
                               f"{MAX_SQUARE_SIDE:g}] m, got {self.square_side}")

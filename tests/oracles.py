@@ -5,6 +5,9 @@ fast paths: plain loops, sets, and scalar math.  The flood oracle never
 touches the spatial index, and the chain oracle re-iterates the edge
 recurrence from scratch.  The scalar sector test lives here too: the
 library's only membership test is the engine's vectorised sector_hits.
+So do the chain's formula helpers next_edge and triangle_area, whose
+arithmetic build_leaf inlines, and flood_views, which floods scenarios
+over shared fields the way a sweep unit does.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from sectorcast import engine
 from sectorcast.configio import CSV_COLUMNS
 from sectorcast.scenario import Point2D, Scenario
 
@@ -97,6 +101,25 @@ def chain_oracle(d: float, r: float, theta: float):
     return seq, areas, 2.0 * sum(areas)
 
 
+def _check_step(edge: float, r: float, theta: float) -> None:
+    if not (edge > 0.0 and r > 0.0 and math.isfinite(edge + r) and 0.0 < theta < TWO_PI):
+        raise ValueError(f"need a positive edge and r and theta in (0, 2*pi), "
+                         f"got {edge}, {r}, {theta}")
+
+
+def next_edge(d_prev: float, r: float, theta: float) -> float:
+    """Next chain edge length: sqrt(d_prev^2 + r^2 - 2 r d_prev cos(theta/2)),
+    in the arithmetic of one build_leaf step."""
+    _check_step(d_prev, r, theta)
+    return math.sqrt(d_prev * d_prev + r * r - 2.0 * r * d_prev * math.cos(theta / 2.0))
+
+
+def triangle_area(d_edge: float, r: float, theta: float) -> float:
+    """Area of a chain triangle with edge d_edge: 0.5 * r * d_edge * sin(theta/2)."""
+    _check_step(d_edge, r, theta)
+    return 0.5 * r * d_edge * math.sin(theta / 2.0)
+
+
 def shoelace(a, b, c) -> float:
     """Unsigned triangle area from coordinates."""
     return abs((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])) / 2.0
@@ -157,6 +180,21 @@ def brute_force_flood(scenario: Scenario, rng: np.random.Generator | None = None
         "rounds": len(per_round),
         "per_round_transmitters": tuple(per_round),
     }
+
+
+def flood_views(scenarios, fields, field_of):
+    """engine.flood_fields over shared fields, as a sweep unit calls it:
+    scenario b floods its len(nodes) rows of fields[field_of[b]], and field
+    g draws the aiming stream of its scenarios' config seed."""
+    cfg = scenarios[0].config
+    eps = cfg.direction_error_bound
+    seeds = dict(zip(field_of, (s.config.seed for s in scenarios)))
+    errors = None if eps == 0.0 else [engine.aim_errors(seeds[g], eps, len(f) + 1)
+                                      for g, f in enumerate(fields)]
+    ends = [(s.source.x, s.source.y, s.destination.x, s.destination.y) for s in scenarios]
+    return engine.flood_fields(fields, field_of, [len(s.nodes) for s in scenarios],
+                               [s.config.theta for s in scenarios], np.array(ends).T,
+                               cfg.radius, errors)
 
 
 def read_results_csv(path: str) -> list[dict]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -329,6 +330,10 @@ def test_sweep_csv_matches_library_results(tmp_path, config_file):
         assert row["bandwidth_gain"] == res.bandwidth_gain
         assert row["model_ratio"] == res.model_ratio
         assert row["model_relative_error"] == res.model_relative_error
+    # a library caller's integer degrees write the CLI's bytes: 90.0, not 90
+    whole = SweepSpec(replace(cfg, theta_deg=90, direction_error_deg=0), theta_deg_values=(45, 90),
+                      n_values=spec.n_values, d_values=spec.d_values, trials=spec.trials)
+    assert configio.results_csv_text(run_sweep(whole), whole) == text
 
 
 @pytest.mark.parametrize("command, n_values, tail", [
@@ -470,7 +475,7 @@ def test_model_degenerate_reports_zero_leaf(capsys):
 
 
 @pytest.mark.parametrize("setting, cause", [
-    ("theta_deg=360", "theta must be in (0, 2*pi)"),
+    ("theta_deg=360", "theta_deg must be below 360"),
     ("d=0", "d must be positive"),
     # about 1e12 triangles: the bound stops the chain in well under a second
     ("radius=1e-9", "passes MAX_TRIANGLES = 100000 triangles per side"),
@@ -481,6 +486,7 @@ def test_model_without_chain_is_config_error(capsys, setting, cause):
     assert captured.out == ""
     assert "config error: no triangle-chain model" in captured.err
     assert cause in captured.err
+    assert "2*pi" not in captured.err and "6.283" not in captured.err  # degrees, as entered
 
 
 def test_model_flagged_chain_notes_truncation(capsys):

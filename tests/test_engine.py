@@ -28,7 +28,7 @@ from sectorcast.scenario import (
     generate,
 )
 
-from oracles import TWO_PI, Sector, brute_force_flood, in_sector
+from oracles import TWO_PI, Sector, brute_force_flood, flood_views, in_sector
 
 
 def make_scenario(nodes, source, destination, *, side=4000.0, radius=200.0,
@@ -202,8 +202,8 @@ def shared_field(cfg, thetas_deg, distances, nodes=None):
 
 
 def test_batch_over_shared_nodes_matches_single_floods():
-    # floods that share a field share an index group and an aiming draw,
-    # also when they flood views of its first rows, yet each must equal the
+    # flood_fields' floods of one field share an index group and an aiming
+    # draw, also when they flood its first rows, yet each must equal the
     # one-scenario propagate of a copy of its own nodes
     base = ScenarioConfig(square_side=1500.0, radius=250.0)
     delivered = set()
@@ -211,27 +211,30 @@ def test_batch_over_shared_nodes_matches_single_floods():
         for placement in (Placement.FIXED_COUNT, Placement.POISSON_COUNT):
             # per trial's field, the row counts it is flooded with: an empty
             # field alone and among a non-empty one, and a field of 90 rows
-            # flooded as views of its first 0 and 45 rows before it is whole
-            for fields in (((90,), (90,)), ((0,), (0,)), ((90,), (0,)), ((0, 45, 90),)):
-                scenarios, rows = [], []
-                for seed, views in zip((3, 4), fields):  # a field per trial
+            # flooded as its first 0 and 45 rows before it is whole
+            for views_of in (((90,), (90,)), ((0,), (0,)), ((90,), (0,)), ((0, 45, 90),)):
+                scenarios, fields, field_of = [], [], []
+                for seed, views in zip((3, 4), views_of):  # a field per trial
                     cfg = replace(base, n_nodes=views[-1], seed=seed, placement=placement,
                                   direction_error_deg=eps_deg)
                     nodes = generate(cfg).nodes
+                    fields.append(nodes)
                     for n in views:
                         scenarios += shared_field(replace(cfg, n_nodes=n), (5.0, 135.0, 360.0),
                                                   (0.0, 150.0, 250.0, 900.0),
                                                   nodes if n == views[-1] else nodes[:n])
-                        rows += [len(nodes)] * 12
+                        field_of += [len(fields) - 1] * 12
                 # the same nodes under another seed draw their own aiming errors
+                fields.append(fields[0])
                 scenarios += [replace(s, config=replace(s.config, seed=s.config.seed + 100))
                               for s in scenarios[:12]]
-                rows += rows[:12]
-                batch = propagate_batch(scenarios)
-                assert np.diff(batch.offsets).tolist() == rows  # a slot per row of the field
+                field_of += [len(fields) - 1] * 12
+                batch = flood_views(scenarios, fields, field_of)
+                # a slot per row of the field
+                assert np.diff(batch.offsets).tolist() == [len(fields[g]) for g in field_of]
                 for b, scenario in enumerate(scenarios):
                     want = propagate(replace(scenario, nodes=scenario.nodes.copy()))
-                    assert batch.outcome(b) == want, (eps_deg, placement, fields, b)
+                    assert batch.outcome(b) == want, (eps_deg, placement, views_of, b)
                     assert batch.reached[b] == want.success
                     assert batch.implicated[b] == len(want.implicated)
                     lo, hi = batch.offsets[b], batch.offsets[b + 1]

@@ -394,19 +394,19 @@ def test_units_index_one_field_a_trial_within_the_slot_budget(monkeypatch):
     # cell that alone is larger
     monkeypatch.setattr(experiments, "BATCH_ROWS", 150)
     fields, slots = [], []
-    build_index, propagate_batch = engine.build_index, experiments.propagate_batch
+    build_index, flood_fields = engine.build_index, experiments.flood_fields
 
     def counting_index(batch, radius):
         fields.append(len(batch))
         return build_index(batch, radius)
 
-    def counting_flood(scenarios):
-        flood = propagate_batch(scenarios)
+    def counting_flood(*args):
+        flood = flood_fields(*args)
         slots.append(int(flood.offsets[-1]))
         return flood
 
     monkeypatch.setattr(engine, "build_index", counting_index)
-    monkeypatch.setattr(experiments, "propagate_batch", counting_flood)
+    monkeypatch.setattr(experiments, "flood_fields", counting_flood)
     spec = SweepSpec(base=small_config(seed=3), theta_deg_values=(45.0, 360.0),
                      n_values=(0, 25, 60), d_values=(600.0, 800.0), trials=4)
     run_sweep(spec)
@@ -415,6 +415,30 @@ def test_units_index_one_field_a_trial_within_the_slot_budget(monkeypatch):
     for (chunk, first, stop), n_fields, n_slots in zip(units, fields, slots):
         assert n_fields == stop - first
         assert n_slots <= experiments.BATCH_ROWS or (len(chunk), stop - first) == (1, 1)
+
+
+@pytest.mark.parametrize("placement, eps_deg", [(Placement.FIXED_COUNT, 0.0),
+                                                (Placement.POISSON_COUNT, 10.0)])
+def test_a_unit_copies_its_config_once_a_trial(monkeypatch, placement, eps_deg):
+    # the cells' theta, N and endpoints reach the engine as arrays: a unit
+    # of 2 theta x 2 N x 2 d cells builds one config, for generate, a trial
+    counted = []
+    post_init = ScenarioConfig.__post_init__
+
+    def counting(self):
+        counted.append(self.seed)
+        post_init(self)
+
+    spec = SweepSpec(base=small_config(placement=placement, direction_error_deg=eps_deg),
+                     theta_deg_values=(45.0, 360.0), n_values=(60, 120),
+                     d_values=(600.0, 800.0), trials=5)
+    cells = spec.cells()
+    if placement is Placement.POISSON_COUNT:  # Poisson cells share a field only at one N
+        cells = [cfg for cfg in cells if cfg.n_nodes == 120]
+    monkeypatch.setattr(ScenarioConfig, "__post_init__", counting)
+    out = experiments._run_unit(cells, 1, 4)
+    assert counted == [derive_seed(spec.base.seed, t) for t in range(1, 4)]
+    assert [a.shape for a in out] == [(len(cells), 3)] * 3
 
 
 def test_units_bound_allocated_slots_for_any_n_list(monkeypatch):

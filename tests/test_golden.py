@@ -4,9 +4,9 @@ Rerun equality (criterion 8) cannot notice a refactor that changes every
 number consistently; these pins can.  Each case writes one output file
 through ``cli.main`` and compares its sha256 with the digest recorded when
 the case was added.  The CLI pins hash aggregates, so the flood corpus
-pins single floods: every outcome of a seeded set of propagate_batch
-batches, in node order.  A deliberate output change must update the pin
-and say why in CHANGES.md.
+pins single floods: every outcome of a seeded set of batches, in node
+order, through propagate_batch and through flood_fields.  A deliberate
+output change must update the pin and say why in CHANGES.md.
 
 The pins hold on x86-64 Linux with CPython 3.11 and numpy 2.x; another libm
 may round a transcendental differently and change the last digit of a float.
@@ -23,6 +23,8 @@ import pytest
 from sectorcast import cli, engine
 from sectorcast.engine import propagate_batch
 from sectorcast.scenario import Placement, Scenario, ScenarioConfig, endpoint_positions, generate
+
+from oracles import flood_views
 
 SMALL = ["--set", "square_side=1500", "--set", "n_nodes=100", "--set", "radius=200",
          "--set", "d=600", "--seed", "11"]
@@ -79,12 +81,13 @@ def test_output_digest(name, tmp_path, capsys):
 
 
 def corpus_batches(count, seed):
-    """count seeded propagate_batch batches.  Each batch shares a field side,
-    radius, placement, aiming error (0, 0.17 or 0.8 rad) and 1-6 theta
-    values (1-360 deg), over 1-2 fields of 0-1500 nodes, each flooded whole
-    and as a view of its first half, from one d (0 to the side) per view.
-    The radius gives the largest field 1-12 neighbours a node on average,
-    so floods range from dying at once to covering the field."""
+    """count seeded batches of (scenarios, fields, field of each scenario).
+    Each batch shares a field side, radius, placement, aiming error (0, 0.17
+    or 0.8 rad) and 1-6 theta values (1-360 deg), over 1-2 fields of 0-1500
+    nodes, each flooded whole and as a view of its first half, from one d
+    (0 to the side) per view.  The radius gives the largest field 1-12
+    neighbours a node on average, so floods range from dying at once to
+    covering the field."""
     rng = np.random.default_rng(seed)
     placements = (Placement.FIXED_COUNT, Placement.POISSON_COUNT)
     for _ in range(count):
@@ -100,30 +103,40 @@ def corpus_batches(count, seed):
         thetas = [float(t) for t in rng.uniform(1.0, 360.0, rng.integers(1, 7))]
         if rng.random() < 0.3:
             thetas[-1] = 360.0
-        scenarios = []
+        scenarios, fields, field_of = [], [], []
         for n in sizes:
             cfg = replace(base, n_nodes=n, seed=int(rng.integers(2**63)))
             nodes = generate(cfg).nodes
+            fields.append(nodes)
             for view in (nodes, nodes[:len(nodes) // 2]):
                 d = float(rng.choice([0.0, side, rng.uniform(0.0, side)], p=[0.1, 0.1, 0.8]))
                 for theta_deg in thetas:
                     cell = replace(cfg, theta_deg=theta_deg, sd_distance=d)
                     scenarios.append(Scenario(view, *endpoint_positions(cell), cell))
-        yield scenarios
+                    field_of.append(len(fields) - 1)
+        yield scenarios, fields, field_of
 
 
 # 28 batches, 302 floods, 27,932 transmitters
 FLOOD_CORPUS = "32c9a78590a47c2c6871a38fa32e9ba9a75c0370f28769bdd5f8ace30cbde1d7"
 
 
-@pytest.mark.parametrize("chunk", [engine.ROUND_CHUNK, 64])
-def test_flood_corpus_digest(monkeypatch, chunk):
+# each batch through propagate_batch, a field per scenario, or through
+# flood_fields over the generated fields, each half view as an n_nodes entry
+ENTRIES = {"propagate_batch": lambda scenarios, fields, field_of: propagate_batch(scenarios),
+           "flood_fields": flood_views}
+
+
+@pytest.mark.parametrize("chunk, entry", [
+    pytest.param(chunk, entry, id=f"{chunk}-{entry}" if entry == "flood_fields" else f"{chunk}")
+    for entry in ENTRIES for chunk in (engine.ROUND_CHUNK, 64)])
+def test_flood_corpus_digest(monkeypatch, chunk, entry):
     # success, first hop, sorted implicated ids and per-round counts of
     # each flood, never the slot layout, so an index redesign keeps the pin
     monkeypatch.setattr(engine, "ROUND_CHUNK", chunk)
     digest = hashlib.sha256()
-    for scenarios in corpus_batches(28, 7):
-        batch = propagate_batch(scenarios)
+    for scenarios, fields, field_of in corpus_batches(28, 7):
+        batch = ENTRIES[entry](scenarios, fields, field_of)
         for b in range(len(scenarios)):
             out = batch.outcome(b)
             digest.update(repr((out.success, out.first_delivery_hop, sorted(out.implicated),

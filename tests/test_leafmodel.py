@@ -6,16 +6,9 @@ import numpy as np
 import pytest
 
 from sectorcast import leafmodel
-from sectorcast.leafmodel import (
-    DegenerateLeafError,
-    build_leaf,
-    next_edge,
-    predicted_ratio,
-    relative_error,
-    triangle_area,
-)
+from sectorcast.leafmodel import DegenerateLeafError, build_leaf, predicted_ratio, relative_error
 
-from oracles import chain_oracle, shoelace
+from oracles import chain_oracle, next_edge, shoelace, triangle_area
 
 DEG60 = math.radians(60.0)
 
@@ -80,6 +73,25 @@ def test_triangle_area_domain_errors():
         triangle_area(-1.0, 200.0, DEG60)
     with pytest.raises(ValueError):
         triangle_area(100.0, 200.0, 7.0)
+
+
+def test_build_leaf_steps_are_the_formula_helpers_bit_for_bit():
+    # build_leaf inlines next_edge and triangle_area: a chain of the helpers'
+    # own calls, under build_leaf's stopping rule, gives its exact floats
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        r = float(rng.uniform(1.0, 500.0))
+        d = r * float(rng.uniform(1.001, 50.0))
+        theta = float(rng.uniform(1e-3, 2.0 * math.pi - 1e-3))
+        seq = [d]
+        for _ in range(leafmodel.MAX_TRIANGLES):
+            seq.append(next_edge(seq[-1], r, theta))
+            if (seq[-1] <= r or seq[-1] >= seq[-2]
+                    or seq[-2] - seq[-1] < leafmodel.CONVERGENCE_FACTOR * r):
+                break
+        model = build_leaf(d, r, theta)
+        assert model.d_seq == tuple(seq), (d, r, theta)
+        assert model.areas == tuple(triangle_area(v, r, theta) for v in seq[1:]), (d, r, theta)
 
 
 def test_build_leaf_matches_frozen_oracle():
