@@ -20,7 +20,6 @@ from .engine import (
     SOURCE_ID,
     BroadcastOutcome,
     propagate,
-    propagate_batch,
 )
 from .experiments import (
     DEFAULT_D_GRID,
@@ -40,7 +39,7 @@ __all__ = [
     "predicted_ratio", "relative_error",
     "ConfigError", "Placement", "Point2D", "Scenario", "ScenarioConfig",
     "derive_seed", "generate",
-    "SOURCE_ID", "BroadcastOutcome", "propagate", "propagate_batch",
+    "SOURCE_ID", "BroadcastOutcome", "propagate",
     "DEFAULT_D_GRID", "DEFAULT_N_GRID", "DEFAULT_THETA_GRID_DEG",
     "CellResult", "SweepSpec", "run_cell", "run_sweep",
     "render_svg",

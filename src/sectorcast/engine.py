@@ -18,8 +18,8 @@ the index's sort order, so a candidate run of the index is a run of the
 flood's slots and covered candidates are dropped before any coordinate is
 gathered; the rows past a flood's own nodes start covered.  sector_hits
 marks a round's hits covered and returns each fresh slot once.  Each
-transmitter tests its own destination as one extra point.
-propagate_batch floods scenarios, a field each; propagate floods one.
+transmitter tests its own destination as one extra point.  propagate
+floods one scenario: a flood_fields call over its own field.
 
 Axes come from numpy's vector trig, which may differ from the scalar math
 of the in_sector oracle in the last bits; every pair within NEAR of its
@@ -396,31 +396,12 @@ def flood_fields(fields: Sequence[np.ndarray], field_of: Sequence[int], n_nodes:
                         order=index.order, base=field_start[field_of], n_nodes=n_nodes)
 
 
-def propagate_batch(scenarios: Sequence[Scenario],
-                    rngs: Sequence[np.random.Generator] | None = None) -> BatchOutcome:
-    """Flood every scenario to exhaustion, all in lockstep: flood_fields
-    with one field per scenario.
-
-    The scenarios share radius and direction_error_bound; theta, endpoints
-    and nodes may differ.  Direction errors are drawn up front and keyed by
-    node id, so outcomes are independent of iteration order and batching:
-    rngs[b] supplies scenario b's, by default aim_errors of its config seed,
-    and streams are only consumed when direction_error_bound is nonzero.
-    """
-    cfg = scenarios[0].config
-    shared = (cfg.radius, cfg.direction_error_bound)
-    if any((s.config.radius, s.config.direction_error_bound) != shared for s in scenarios):
-        raise ValueError("a batch must share radius and direction_error_bound")
+def propagate(scenario: Scenario) -> BroadcastOutcome:
+    """Run one flood to exhaustion: flood_fields over the scenario's nodes,
+    aimed with aim_errors of its config seed when direction_error_bound is
+    nonzero."""
+    cfg, nodes, src, dst = scenario.config, scenario.nodes, scenario.source, scenario.destination
     eps = cfg.direction_error_bound
-    errors = None if eps == 0.0 else [
-        aim_errors(s.config.seed, eps, len(s.nodes) + 1) if rngs is None
-        else rngs[b].uniform(-eps, eps, len(s.nodes) + 1) for b, s in enumerate(scenarios)]
-    ends = [(s.source.x, s.source.y, s.destination.x, s.destination.y) for s in scenarios]
-    return flood_fields([s.nodes for s in scenarios], range(len(scenarios)),
-                        [len(s.nodes) for s in scenarios], [s.config.theta for s in scenarios],
-                        np.array(ends).T, cfg.radius, errors)
-
-
-def propagate(scenario: Scenario, rng: np.random.Generator | None = None) -> BroadcastOutcome:
-    """Run one flood to exhaustion: the one-scenario call of propagate_batch."""
-    return propagate_batch([scenario], None if rng is None else [rng]).outcome(0)
+    errors = [aim_errors(cfg.seed, eps, len(nodes) + 1)] if eps > 0.0 else None
+    ends = np.array([[src.x], [src.y], [dst.x], [dst.y]])
+    return flood_fields([nodes], [0], [len(nodes)], [cfg.theta], ends, cfg.radius, errors).outcome(0)

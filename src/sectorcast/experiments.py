@@ -33,6 +33,11 @@ from .scenario import (ConfigError, Placement, ScenarioConfig, derive_seed, endp
 
 DEFAULT_TRIALS = 500
 MAX_TRIALS = 100_000
+# run_sweep holds about 1.1 kB a cell and 17 B a (cell, trial) until it
+# returns: at most about 110 MB and 170 MB.  The default 54-cell grid at
+# MAX_TRIALS is 5.4 M (cell, trial) pairs.
+MAX_CELLS = 100_000
+MAX_CELL_TRIALS = 10_000_000
 
 # A unit floods as many cells and trials in lockstep as fit in this many
 # flood slots.  Each flood allocates a slot per row of its trial's field,
@@ -60,11 +65,16 @@ class SweepSpec:
     trials: int = DEFAULT_TRIALS
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_deg_values", tuple(map(float, self.theta_deg_values)))
+        for name in ("theta_deg_values", "d_values"):  # integer values print as floats
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
         if not (self.theta_deg_values and self.n_values and self.d_values):
             raise ConfigError("sweep value lists must be non-empty")
+        cells = len(self.theta_deg_values) * len(self.n_values) * len(self.d_values)
+        if cells > MAX_CELLS or cells * self.trials > MAX_CELL_TRIALS:
+            raise ConfigError(f"a sweep of {cells} cells x {self.trials} trials passes MAX_CELLS "
+                              f"= {MAX_CELLS} or MAX_CELL_TRIALS = {MAX_CELL_TRIALS}")
 
     def cells(self) -> list[ScenarioConfig]:
         """Derived configs ordered by (d, n, theta); invalid cells abort here."""

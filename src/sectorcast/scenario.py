@@ -70,8 +70,6 @@ class ScenarioConfig:
         return math.radians(self.direction_error_deg)
 
     def __post_init__(self):
-        for name in ("theta_deg", "direction_error_deg"):  # integer degrees print as floats
-            object.__setattr__(self, name, float(getattr(self, name)))
         if not MIN_SQUARE_SIDE <= self.square_side <= MAX_SQUARE_SIDE:
             raise ConfigError(f"square_side must be in [{MIN_SQUARE_SIDE:g}, "
                               f"{MAX_SQUARE_SIDE:g}] m, got {self.square_side}")
@@ -95,6 +93,9 @@ class ScenarioConfig:
         if not 0.0 <= self.direction_error_bound <= math.pi:
             raise ConfigError(
                 f"direction_error_deg must be in [0, 180], got {self.direction_error_deg}")
+        # valid integer lengths and degrees are stored, and print, as floats
+        for name in ("square_side", "radius", "theta_deg", "sd_distance", "direction_error_deg"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)

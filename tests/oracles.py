@@ -6,8 +6,9 @@ touches the spatial index, and the chain oracle re-iterates the edge
 recurrence from scratch.  The scalar sector test lives here too: the
 library's only membership test is the engine's vectorised sector_hits.
 So do the chain's formula helpers next_edge and triangle_area, whose
-arithmetic build_leaf inlines, and flood_views, which floods scenarios
-over shared fields the way a sweep unit does.
+arithmetic build_leaf inlines, and flood_views and flood_each, which flood
+scenarios through engine.flood_fields over shared fields, the way a sweep
+unit does, or over a field each, with chosen aiming draws.
 """
 
 from __future__ import annotations
@@ -125,10 +126,13 @@ def shoelace(a, b, c) -> float:
     return abs((b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])) / 2.0
 
 
-def brute_force_flood(scenario: Scenario, rng: np.random.Generator | None = None):
+def brute_force_flood(scenario: Scenario, errors: np.ndarray | None = None):
     """Reference flood: direct in_sector scans, no index, set bookkeeping.
 
-    Returns a dict with the same accounting as BroadcastOutcome.
+    errors holds the aiming draws, draw 0 for the source and draw k + 1 for
+    node k; by default, when the aiming error is nonzero, the first n + 1
+    draws of the config seed's stream SeedSequence((seed, 1)), uniform in
+    [-eps, eps].  Returns a dict with the same accounting as BroadcastOutcome.
     """
     cfg = scenario.config
     n = len(scenario.nodes)
@@ -137,8 +141,11 @@ def brute_force_flood(scenario: Scenario, rng: np.random.Generator | None = None
     dest = scenario.destination
 
     eps = cfg.direction_error_bound
-    if eps > 0.0:
-        deltas = rng.uniform(-eps, eps, size=n + 1)
+    if errors is not None:
+        deltas = np.asarray(errors, dtype=float)
+    elif eps > 0.0:
+        stream = np.random.default_rng(np.random.SeedSequence((cfg.seed, 1)))
+        deltas = stream.uniform(-eps, eps, size=n + 1)
     else:
         deltas = np.zeros(n + 1)
 
@@ -182,19 +189,27 @@ def brute_force_flood(scenario: Scenario, rng: np.random.Generator | None = None
     }
 
 
-def flood_views(scenarios, fields, field_of):
+def flood_views(scenarios, fields, field_of, errors=None):
     """engine.flood_fields over shared fields, as a sweep unit calls it:
     scenario b floods its len(nodes) rows of fields[field_of[b]], and field
-    g draws the aiming stream of its scenarios' config seed."""
+    g takes the aiming draws errors[g], by default, when the aiming error is
+    nonzero, those of its scenarios' config seed stream."""
     cfg = scenarios[0].config
     eps = cfg.direction_error_bound
-    seeds = dict(zip(field_of, (s.config.seed for s in scenarios)))
-    errors = None if eps == 0.0 else [engine.aim_errors(seeds[g], eps, len(f) + 1)
-                                      for g, f in enumerate(fields)]
+    if errors is None and eps > 0.0:
+        seeds = dict(zip(field_of, (s.config.seed for s in scenarios)))
+        errors = [engine.aim_errors(seeds[g], eps, len(f) + 1) for g, f in enumerate(fields)]
     ends = [(s.source.x, s.source.y, s.destination.x, s.destination.y) for s in scenarios]
     return engine.flood_fields(fields, field_of, [len(s.nodes) for s in scenarios],
                                [s.config.theta for s in scenarios], np.array(ends).T,
                                cfg.radius, errors)
+
+
+def flood_each(scenarios, errors=None):
+    """flood_views with a field per scenario: scenario b floods its own
+    nodes, with the aiming draws errors[b] (draw 0 for the source, draw
+    k + 1 for node k) when given."""
+    return flood_views(scenarios, [s.nodes for s in scenarios], range(len(scenarios)), errors)
 
 
 def read_results_csv(path: str) -> list[dict]:

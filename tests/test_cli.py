@@ -9,8 +9,9 @@ from dataclasses import replace
 import pytest
 
 from sectorcast import cli, configio, experiments
-from sectorcast.experiments import MAX_TRIALS, SweepSpec, run_sweep
-from sectorcast.scenario import MAX_NODES, ConfigError, Placement
+from sectorcast.experiments import (DEFAULT_D_GRID, DEFAULT_N_GRID, DEFAULT_THETA_GRID_DEG,
+                                    MAX_CELL_TRIALS, MAX_CELLS, MAX_TRIALS, SweepSpec, run_sweep)
+from sectorcast.scenario import MAX_NODES, ConfigError, Placement, ScenarioConfig
 
 from oracles import read_results_csv
 
@@ -219,6 +220,35 @@ def test_oversized_inputs_exit_2_before_any_allocation(tmp_path, monkeypatch, ca
         assert not out.exists()
 
 
+def test_oversized_sweeps_exit_2_before_the_sweep(tmp_path, monkeypatch, capsys):
+    # the default grid is admitted at MAX_TRIALS; more theta values, or many
+    # more N values at one trial, take it past a sweep bound before any cell
+    # is built
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("an oversized sweep started")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.setattr(SweepSpec, "cells", no_sweep)
+    per_theta = len(DEFAULT_N_GRID) * len(DEFAULT_D_GRID)
+    per_n = len(DEFAULT_THETA_GRID_DEG) * len(DEFAULT_D_GRID)
+    SweepSpec(ScenarioConfig(), trials=MAX_TRIALS)
+    assert len(DEFAULT_THETA_GRID_DEG) * per_theta * MAX_TRIALS <= MAX_CELL_TRIALS
+    thetas = MAX_CELL_TRIALS // (per_theta * MAX_TRIALS) + 1
+    n_values = MAX_CELLS // per_n + 1
+    bounds = f"passes MAX_CELLS = {MAX_CELLS} or MAX_CELL_TRIALS = {MAX_CELL_TRIALS}"
+    for argv, message in (
+        (["sweep", "--set", f"sweep.theta_deg={', '.join(str(k + 1.0) for k in range(thetas))}",
+          "--set", f"sweep.trials={MAX_TRIALS}"],
+         f"a sweep of {thetas * per_theta} cells x {MAX_TRIALS} trials {bounds}"),
+        (["compare", "--set", f"sweep.n_nodes={', '.join(map(str, range(n_values)))}",
+          "--set", "sweep.trials=1"], f"a sweep of {n_values * per_n} cells x 1 trials {bounds}"),
+    ):
+        out = tmp_path / "out.csv"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "snapshot", "model", "sweep", "compare"])
 def test_config_then_output_path_then_work(tmp_path, config_file, monkeypatch, capsys,
                                            command):
@@ -330,10 +360,22 @@ def test_sweep_csv_matches_library_results(tmp_path, config_file):
         assert row["bandwidth_gain"] == res.bandwidth_gain
         assert row["model_ratio"] == res.model_ratio
         assert row["model_relative_error"] == res.model_relative_error
-    # a library caller's integer degrees write the CLI's bytes: 90.0, not 90
-    whole = SweepSpec(replace(cfg, theta_deg=90, direction_error_deg=0), theta_deg_values=(45, 90),
-                      n_values=spec.n_values, d_values=spec.d_values, trials=spec.trials)
+    # a library caller's integer degrees and lengths write the CLI's bytes:
+    # 90.0 and 1500.0, not 90 and 1500
+    whole = SweepSpec(replace(cfg, theta_deg=90, direction_error_deg=0, square_side=1500,
+                              radius=200, sd_distance=600),
+                      theta_deg_values=(45, 90), n_values=spec.n_values, d_values=(600,),
+                      trials=spec.trials)
     assert configio.results_csv_text(run_sweep(whole), whole) == text
+
+
+def test_library_integer_lengths_write_the_cli_record(tmp_path, config_file):
+    out = tmp_path / "sim.json"
+    assert run_cli("simulate", "--config", config_file, "--out", str(out)) == 0
+    whole = ScenarioConfig(square_side=1500, n_nodes=100, radius=200, theta_deg=90,
+                           sd_distance=600, seed=11)
+    assert (json.dumps(configio.config_record(whole), sort_keys=True)
+            == json.dumps(json.loads(out.read_text())["config"], sort_keys=True))
 
 
 @pytest.mark.parametrize("command, n_values, tail", [

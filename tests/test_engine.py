@@ -15,7 +15,6 @@ from sectorcast.engine import (
     GridIndex,
     aim_vectors,
     propagate,
-    propagate_batch,
     sector_hits,
 )
 from sectorcast.leafmodel import build_leaf
@@ -28,7 +27,7 @@ from sectorcast.scenario import (
     generate,
 )
 
-from oracles import TWO_PI, Sector, brute_force_flood, flood_views, in_sector
+from oracles import TWO_PI, Sector, brute_force_flood, flood_each, flood_views, in_sector
 
 
 def make_scenario(nodes, source, destination, *, side=4000.0, radius=200.0,
@@ -55,11 +54,13 @@ def random_scenario(rng, n_max=50, side=1500.0):
     return generate(cfg)
 
 
-def outcome_matches_oracle(scenario, seed=123):
-    rng_a = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    rng_b = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    got = propagate(scenario, rng_a)
-    want = brute_force_flood(scenario, rng_b)
+def outcome_matches_oracle(scenario, seed):
+    # the engine and the oracle aim with the same draws of stream (seed, 1)
+    eps = scenario.config.direction_error_bound
+    draws = np.random.default_rng(np.random.SeedSequence((seed, 1))).uniform(
+        -eps, eps, len(scenario.nodes) + 1)
+    got = flood_each([scenario], [draws] if eps > 0.0 else None).outcome(0)
+    want = brute_force_flood(scenario, draws)
     assert got.success == want["success"]
     assert got.first_delivery_hop == want["first_delivery_hop"]
     assert got.implicated == want["implicated"]
@@ -115,7 +116,7 @@ def test_transmit_once_and_accounting_invariants():
     rng = np.random.default_rng(2)
     for _ in range(30):
         scenario = random_scenario(rng, n_max=80)
-        out = propagate(scenario, np.random.default_rng(1))
+        out = propagate(scenario)
         n = len(scenario.nodes)
         assert len(out.implicated) <= n + 1
         assert sum(out.per_round_transmitters) == len(out.implicated)
@@ -155,7 +156,7 @@ def test_floods_nest_in_theta_at_oracle_free_sizes(eps_deg):
     for seed in range(4):
         cfg = ScenarioConfig(n_nodes=3000, seed=seed, direction_error_deg=eps_deg)
         scenarios += shared_field(cfg, thetas, (1000.0, 2000.0, 3000.0))
-    batch = propagate_batch(scenarios)
+    batch = flood_each(scenarios)
     floods = [batch.outcome(b) for b in range(len(scenarios))]
     for start in range(0, len(floods), len(thetas)):
         group = floods[start:start + len(thetas)]
@@ -170,21 +171,20 @@ def test_floods_nest_in_theta_at_oracle_free_sizes(eps_deg):
 
 def test_propagate_deterministic():
     scenario = generate(ScenarioConfig(n_nodes=500, seed=11, theta_deg=90))
-    a = propagate(scenario, np.random.default_rng(5))
-    b = propagate(scenario, np.random.default_rng(5))
-    assert a == b
+    assert propagate(scenario) == propagate(scenario)
 
 
 def test_direction_error_defaults_to_aim_stream():
-    # without an rng, propagate draws from the config seed's stream (seed, 1)
+    # propagate aims with the draws of the config seed's stream (seed, 1)
     s = make_scenario([(190.0, 60.0)], (0.0, 0.0), (600.0, 0.0),
                       theta_deg=30.0, eps_deg=60.0)
+    eps = s.config.direction_error_bound
     hits = set()
     for k in range(40):
         scenario = replace(s, config=replace(s.config, seed=k))
         out = propagate(scenario)
-        aim = np.random.default_rng(np.random.SeedSequence((k, 1)))
-        assert out == propagate(scenario, aim)
+        aim = np.random.default_rng(np.random.SeedSequence((k, 1))).uniform(-eps, eps, 2)
+        assert out == flood_each([scenario], [aim]).outcome(0)
         hits.add(0 in out.covered)
     assert hits == {True, False}
 
@@ -259,7 +259,7 @@ def test_floods_nest_in_n_at_oracle_free_sizes(eps_deg):
                 for m in sizes:
                     cell = replace(cfg, n_nodes=m, theta_deg=theta_deg, sd_distance=d)
                     scenarios.append(Scenario(nodes[:m], *endpoint_positions(cell), cell))
-    batch = propagate_batch(scenarios)
+    batch = flood_each(scenarios)
     floods = [batch.outcome(b) for b in range(len(scenarios))]
     strict = 0
     for start in range(0, len(floods), len(sizes)):
@@ -286,7 +286,7 @@ def test_implicated_nodes_stay_within_the_disc_bound(eps_deg):
     for seed in range(4):
         cfg = ScenarioConfig(n_nodes=3000, seed=seed, direction_error_deg=eps_deg)
         scenarios = shared_field(cfg, thetas, distances)
-        batch = propagate_batch(scenarios)
+        batch = flood_each(scenarios)
         for b, s in enumerate(scenarios):
             ids = sorted(batch.outcome(b).implicated - {SOURCE_ID})
             bound = max(s.config.sd_distance, s.config.radius)
@@ -308,7 +308,7 @@ def test_full_circle_covers_nodes_straight_behind_the_axis():
     diagonal = make_scenario([(499.0, 490.0)], src, (510.0, 600.0), theta_deg=360.0)
     axial = make_scenario([(400.0, 500.0)], src, (800.0, 500.0), theta_deg=360.0)
     narrow = replace(diagonal, config=replace(diagonal.config, theta_deg=90.0))
-    batch = propagate_batch([diagonal, axial, narrow])  # per-flood half-angles
+    batch = flood_each([diagonal, axial, narrow])  # per-flood half-angles
     for b, scenario in enumerate((diagonal, axial, narrow)):
         want = brute_force_flood(scenario)
         for got in (propagate(scenario), batch.outcome(b)):  # one beam, per flood
@@ -319,24 +319,10 @@ def test_full_circle_covers_nodes_straight_behind_the_axis():
             assert (0 in got.covered) == (scenario is not narrow)
 
 
-def test_batch_requires_shared_radius_and_aim_error():
-    s = make_scenario([(100.0, 0.0)], (0.0, 0.0), (300.0, 0.0))
-    wider = replace(s, config=replace(s.config, radius=250.0))
-    noisy = replace(s, config=replace(s.config, direction_error_deg=5.729577951308232))
-    for other in (wider, noisy):
-        with pytest.raises(ValueError, match="share radius"):
-            propagate_batch([s, other])
-
-
-class FixedAim:
-    """An aiming stream that hands out chosen errors: the first to the
-    source, the next to node 0, and so on (repeated to the size asked)."""
-
-    def __init__(self, *errors):
-        self.errors = np.array(errors)
-
-    def uniform(self, low, high, size):
-        return np.resize(self.errors, size)
+def fixed_aim(scenario, *errors):
+    """Chosen aiming draws for scenario: the first to the source, the next
+    to node 0, and so on, repeated to one a node and the source."""
+    return np.resize(np.array(errors), len(scenario.nodes) + 1)
 
 
 def test_destination_at_range_and_on_edge_ray_matches_oracle():
@@ -354,15 +340,17 @@ def test_destination_at_range_and_on_edge_ray_matches_oracle():
             s = make_scenario([], (0.0, 0.0), dest, theta_deg=60.0, eps_deg=30.0)
             axis = (math.atan2(dest[1], dest[0]) % TWO_PI + err) % TWO_PI
             sector = Sector(apex=Point2D(0.0, 0.0), axis=axis, half_angle=half, radius=200.0)
-            assert propagate(s, FixedAim(err)).success == in_sector(Point2D(*dest), sector)
+            got = flood_each([s], [fixed_aim(s, err)]).outcome(0)
+            assert got.success == in_sector(Point2D(*dest), sector)
             verdicts.add(in_sector(Point2D(*dest), sector))
             # a relay at exactly r from the destination, aimed with the error
             sign = math.copysign(1.0, dest[0] or 1.0)
             relay = (dest[0] - 200.0 * sign, dest[1])
             s = make_scenario([relay], (relay[0] - 100.0 * sign, relay[1]), dest,
                               theta_deg=60.0, eps_deg=30.0)
-            got = propagate(s, FixedAim(0.0, err))
-            want = brute_force_flood(s, FixedAim(0.0, err))
+            aim = fixed_aim(s, 0.0, err)
+            got = flood_each([s], [aim]).outcome(0)
+            want = brute_force_flood(s, aim)
             assert (got.success, got.first_delivery_hop, got.covered, got.implicated) == (
                 want["success"], want["first_delivery_hop"], want["covered"],
                 want["implicated"])
@@ -391,10 +379,9 @@ def test_batch_matches_brute_force_at_box_switch_points():
                 cfg = replace(base, n_nodes=40, seed=seed, placement=placement,
                               direction_error_deg=eps_deg)
                 scenarios += shared_field(cfg, thetas_deg, (120.0, 500.0))
-            batch = propagate_batch(scenarios)
+            batch = flood_each(scenarios)
             for b, scenario in enumerate(scenarios):
-                aim = np.random.default_rng(np.random.SeedSequence((scenario.config.seed, 1)))
-                want = brute_force_flood(scenario, aim)
+                want = brute_force_flood(scenario)
                 got = batch.outcome(b)
                 assert (got.success, got.first_delivery_hop, got.implicated, got.covered,
                         got.rounds, got.per_round_transmitters) == (
@@ -422,10 +409,9 @@ def test_outcomes_do_not_depend_on_round_chunk(monkeypatch, chunk):
             for n in (0, 25):  # a view of the first n rows shares the field's group
                 cell = replace(cfg, n_nodes=n, theta_deg=120.0, sd_distance=500.0)
                 scenarios.append(Scenario(nodes[:n], *endpoint_positions(cell), cell))
-        batch = propagate_batch(scenarios)
+        batch = flood_each(scenarios)
         for b, scenario in enumerate(scenarios):
-            aim = np.random.default_rng(np.random.SeedSequence((scenario.config.seed, 1)))
-            want = brute_force_flood(scenario, aim)
+            want = brute_force_flood(scenario)
             got = batch.outcome(b)
             assert (got.success, got.first_delivery_hop, got.implicated, got.covered,
                     got.rounds, got.per_round_transmitters) == (
@@ -758,9 +744,9 @@ def edge_ray_scenes():
                               apex[1] + rho * math.sin(bearing + err + side * half))
                              for side in (-1.0, 1.0) for rho in np.linspace(10.0, 200.0, 12)]
                     dest_at = (apex[0] + dest[0], apex[1] + dest[1])
-                    # eps only turns the aiming stream on: FixedAim hands out err
-                    scenes.append((make_scenario(nodes, apex, dest_at, theta_deg=theta_deg,
-                                                 eps_deg=180.0), FixedAim(err)))
+                    # eps only marks the flood as aimed: fixed_aim hands out err
+                    s = make_scenario(nodes, apex, dest_at, theta_deg=theta_deg, eps_deg=180.0)
+                    scenes.append((s, fixed_aim(s, err)))
     return scenes
 
 
@@ -768,7 +754,7 @@ def test_pairs_near_a_sector_edge_are_decided_with_scalar_axes(monkeypatch):
     # vector axes turned by +-1e-12 rad put the nodes on the edge rays on
     # the wrong side of them; the scalar re-decision must undo every flip
     scenes = edge_ray_scenes()
-    wants = [propagate(s, aim) for s, aim in scenes]
+    wants = [flood_each([s], [aim]).outcome(0) for s, aim in scenes]
     for want, (s, aim) in zip(wants, scenes):
         oracle = brute_force_flood(s, aim)
         assert (want.success, want.implicated, want.covered, want.per_round_transmitters) == (
@@ -780,9 +766,9 @@ def test_pairs_near_a_sector_edge_are_decided_with_scalar_axes(monkeypatch):
             ux, uy = vector_axes(dx, dy, deltas)
             return ux - turn * uy, uy + turn * ux
         monkeypatch.setattr(engine, "_vector_axes", turned)
-        batch = propagate_batch([s for s, _ in scenes], [aim for _, aim in scenes])
+        batch = flood_each([s for s, _ in scenes], [aim for _, aim in scenes])
         for b, (want, (s, aim)) in enumerate(zip(wants, scenes)):
-            assert batch.outcome(b) == want == propagate(s, aim), (turn, b)
+            assert batch.outcome(b) == want == flood_each([s], [aim]).outcome(0), (turn, b)
     assert {w.success for w in wants} == {True, False}
 
 
@@ -798,7 +784,7 @@ def test_batch_slots_follow_the_index_order():
         for theta_deg in ((80.0, 200.0) if k == 3 else (120.0,)):  # two floods share field 3
             cfg = replace(base, n_nodes=len(nodes), theta_deg=theta_deg, seed=k)
             scenarios.append(Scenario(nodes, *endpoint_positions(cfg), cfg))
-    batch = propagate_batch(scenarios)
+    batch = flood_each(scenarios)
     assert len(batch.offsets) == len(scenarios) + 1
     for b, scenario in enumerate(scenarios):
         want = brute_force_flood(scenario)
@@ -861,11 +847,12 @@ def test_leaf_confinement_inflated_by_radius():
 def test_direction_error_is_actually_consumed():
     # node at 17.5 deg off-axis, just inside range: covered only when the
     # drawn aiming error tilts the 30-degree beam toward it
+    s = make_scenario([(190.0, 60.0)], (0.0, 0.0), (600.0, 0.0),
+                      theta_deg=30.0, eps_deg=60.0)
+    eps = s.config.direction_error_bound
     hits = set()
     for k in range(40):
-        s = make_scenario([(190.0, 60.0)], (0.0, 0.0), (600.0, 0.0),
-                          theta_deg=30.0, eps_deg=60.0)
-        out = propagate(s, np.random.default_rng(k))
+        out = flood_each([s], [np.random.default_rng(k).uniform(-eps, eps, 2)]).outcome(0)
         hits.add(0 in out.covered)
     assert hits == {True, False}
 

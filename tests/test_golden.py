@@ -5,8 +5,9 @@ number consistently; these pins can.  Each case writes one output file
 through ``cli.main`` and compares its sha256 with the digest recorded when
 the case was added.  The CLI pins hash aggregates, so the flood corpus
 pins single floods: every outcome of a seeded set of batches, in node
-order, through propagate_batch and through flood_fields.  A deliberate
-output change must update the pin and say why in CHANGES.md.
+order, through engine.flood_fields with a field per scenario and with
+shared fields.  A deliberate output change must update the pin and say
+why in CHANGES.md.
 
 The pins hold on x86-64 Linux with CPython 3.11 and numpy 2.x; another libm
 may round a transcendental differently and change the last digit of a float.
@@ -21,10 +22,9 @@ import numpy as np
 import pytest
 
 from sectorcast import cli, engine
-from sectorcast.engine import propagate_batch
 from sectorcast.scenario import Placement, Scenario, ScenarioConfig, endpoint_positions, generate
 
-from oracles import flood_views
+from oracles import flood_each, flood_views
 
 SMALL = ["--set", "square_side=1500", "--set", "n_nodes=100", "--set", "radius=200",
          "--set", "d=600", "--seed", "11"]
@@ -121,22 +121,22 @@ def corpus_batches(count, seed):
 FLOOD_CORPUS = "32c9a78590a47c2c6871a38fa32e9ba9a75c0370f28769bdd5f8ace30cbde1d7"
 
 
-# each batch through propagate_batch, a field per scenario, or through
-# flood_fields over the generated fields, each half view as an n_nodes entry
-ENTRIES = {"propagate_batch": lambda scenarios, fields, field_of: propagate_batch(scenarios),
+# each batch through flood_fields with a field per scenario, or over the
+# generated fields, each half view as an n_nodes entry
+LAYOUTS = {"field_each": lambda scenarios, fields, field_of: flood_each(scenarios),
            "flood_fields": flood_views}
 
 
-@pytest.mark.parametrize("chunk, entry", [
-    pytest.param(chunk, entry, id=f"{chunk}-{entry}" if entry == "flood_fields" else f"{chunk}")
-    for entry in ENTRIES for chunk in (engine.ROUND_CHUNK, 64)])
-def test_flood_corpus_digest(monkeypatch, chunk, entry):
+@pytest.mark.parametrize("chunk, layout", [
+    pytest.param(chunk, layout, id=f"{chunk}-{layout}" if layout == "flood_fields" else f"{chunk}")
+    for layout in LAYOUTS for chunk in (engine.ROUND_CHUNK, 64)])
+def test_flood_corpus_digest(monkeypatch, chunk, layout):
     # success, first hop, sorted implicated ids and per-round counts of
     # each flood, never the slot layout, so an index redesign keeps the pin
     monkeypatch.setattr(engine, "ROUND_CHUNK", chunk)
     digest = hashlib.sha256()
     for scenarios, fields, field_of in corpus_batches(28, 7):
-        batch = ENTRIES[entry](scenarios, fields, field_of)
+        batch = LAYOUTS[layout](scenarios, fields, field_of)
         for b in range(len(scenarios)):
             out = batch.outcome(b)
             digest.update(repr((out.success, out.first_delivery_hop, sorted(out.implicated),
