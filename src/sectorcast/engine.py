@@ -174,8 +174,7 @@ def _in_sectors(dx: np.ndarray, dy: np.ndarray, ux: np.ndarray, uy: np.ndarray, 
 
 def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray,
                 uy: np.ndarray, groups: np.ndarray, cos_half: np.ndarray | float,
-                wide: np.ndarray, shift: np.ndarray, covered: np.ndarray, stamp: np.ndarray,
-                exact) -> np.ndarray:
+                wide: np.ndarray, shift: np.ndarray, covered: np.ndarray, exact) -> np.ndarray:
     """Mark covered and return, once each, the uncovered slots hit by sectors
     of the index's radius at apexes (xs, ys) along vector-trig axes (ux, uy),
     with the verdicts of the scalar in_sector oracle in tests/oracles.py:
@@ -186,10 +185,11 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray
     capped at pi, in the same form: the index is queried over the bounding
     box of that wider sector.
 
-    Query i's candidate at sorted position p is slot p + shift[i] of covered
-    and of stamp, an int32 scratch array.  Pairs are tested in chunks of
-    about ROUND_CHUNK; candidates whose slot is covered when their chunk
-    starts are dropped untested.
+    Query i's candidate at sorted position p is slot p + shift[i] of covered.
+    Pairs are tested in chunks of about ROUND_CHUNK; candidates whose slot
+    is covered when their chunk starts are dropped untested, and a chunk's
+    hits are deduped by sorting them, so covered, one byte a slot, is the
+    only array kept per slot.
     """
     # reach in radii toward -x, -y, +x and +y: the apex, both arc ends, and
     # each cardinal extreme within the half-angle
@@ -217,11 +217,9 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray
         slots = slots.take(np.flatnonzero(_in_sectors(
             index.sorted_x.take(pos) - xs.take(owner), index.sorted_y.take(pos) - ys.take(owner),
             ux.take(owner), uy.take(owner), r2, c, lambda k: exact(owner.take(k)))))
+        slots.sort()  # in place: one entry per slot, the first of each equal run
         covered[slots] = True
-        # one entry per slot: a slot hit twice in the chunk keeps its last
-        order = np.arange(len(slots), dtype=np.int32)
-        stamp[slots] = order
-        fresh.append(slots.compress(stamp.take(slots) == order))
+        fresh += (slots[:1], slots[1:].compress(slots[1:] != slots[:-1]))
     return np.concatenate(fresh)
 
 
@@ -361,8 +359,6 @@ def flood_fields(fields: Sequence[np.ndarray], field_of: Sequence[int], n_nodes:
     wide = np.array((np.cos(box_half), np.sin(box_half)))
     one_beam = bool((halves == halves[0]).all())  # then sector_hits takes scalars
     tx_x, tx_y, dest_x, dest_y = np.asarray(ends, dtype=float)
-    # a chunk hits at most ROUND_CHUNK plus one field's nodes, well below 2^31
-    stamp = np.zeros(offsets[-1], dtype=np.int32)
     first_hop = np.zeros(n_floods, dtype=np.int64)
     per_round = []
 
@@ -382,7 +378,7 @@ def flood_fields(fields: Sequence[np.ndarray], field_of: Sequence[int], n_nodes:
         hit = hit.compress(first_hop.take(hit) == 0)
         first_hop[hit] = len(per_round)
         fresh = sector_hits(index, tx_x, tx_y, ux, uy, field_of[tx_flood], tx_cos, tx_wide,
-                            shift[tx_flood], covered, stamp, exact)
+                            shift[tx_flood], covered, exact)
         tx_flood = offsets.searchsorted(fresh, side="right") - 1
         pos = fresh - shift[tx_flood]
         tx_x, tx_y = index.sorted_x[pos], index.sorted_y[pos]

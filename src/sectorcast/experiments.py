@@ -33,9 +33,9 @@ from .scenario import (ConfigError, Placement, ScenarioConfig, derive_seed, endp
 
 DEFAULT_TRIALS = 500
 MAX_TRIALS = 100_000
-# run_sweep holds about 1.1 kB a cell and 17 B a (cell, trial) until it
-# returns: at most about 110 MB and 170 MB.  The default 54-cell grid at
-# MAX_TRIALS is 5.4 M (cell, trial) pairs.
+# run_sweep holds about 1.1 kB a cell until it returns, and 17 B a (cell,
+# trial) of the chunk it is gathering: at most about 110 MB and 170 MB.  The
+# default 54-cell grid at MAX_TRIALS is 5.4 M (cell, trial) pairs.
 MAX_CELLS = 100_000
 MAX_CELL_TRIALS = 10_000_000
 
@@ -43,8 +43,9 @@ MAX_CELL_TRIALS = 10_000_000
 # flood slots.  Each flood allocates a slot per row of its trial's field,
 # drawn at the unit's largest n_nodes, so a unit allocates trials x cells x
 # (largest n_nodes + 1) slots (at least one cell and trial), in expectation
-# for Poisson fields, which give a flood one slot per drawn node.
-BATCH_ROWS = 1 << 19
+# for Poisson fields, which give a flood one slot per drawn node.  A slot
+# costs one byte, its covered flag, so 2^20 slots take 1 MB.
+BATCH_ROWS = 1 << 20
 
 # Default evaluation grid: theta 22.5..135 degrees, N 1000..3000, d 1000..3000 m.
 DEFAULT_THETA_GRID_DEG = (22.5, 45.0, 67.5, 90.0, 112.5, 135.0)
@@ -243,21 +244,28 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CellResult]:
     Every unit goes through one map: in-process, or one pool of
     min(workers, usable CPUs, units) processes for the whole sweep.  Unit
     results are gathered by cell position, so a value listed twice gives
-    two cells with spec.trials trials each.
+    two cells with spec.trials trials each.  The map yields units in order
+    and a chunk's units are consecutive, ending at trial spec.trials, so a
+    chunk's cells are summarised as its last unit arrives and only one
+    chunk's per-trial arrays are held.
     """
     cells = spec.cells()
     units = _units(cells, spec.trials)
     args = zip(*(([cells[pos] for pos in chunk], first, stop) for chunk, first, stop in units))
     workers = min(workers, _usable_cpus(), len(units))
     parts = [[] for _ in cells]
+    results = [None] * len(cells)
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         outputs = (pool.map(_run_unit, *args, chunksize=max(1, len(units) // (8 * workers)))
                    if pool else map(_run_unit, *args))
-        for (chunk, _, _), arrays in zip(units, outputs):
+        for (chunk, _, stop), arrays in zip(units, outputs):
             for pos, cell_arrays in zip(chunk, zip(*arrays)):
                 parts[pos].append(cell_arrays)
-    return [_summarise(cfg, *map(np.concatenate, zip(*cell_parts)))
-            for cfg, cell_parts in zip(cells, parts)]
+            if stop == spec.trials:
+                for pos in chunk:
+                    results[pos] = _summarise(cells[pos], *map(np.concatenate, zip(*parts[pos])))
+                    parts[pos] = None
+    return results
 
 
 def run_cell(config: ScenarioConfig, trials: int = DEFAULT_TRIALS,

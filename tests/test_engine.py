@@ -1,6 +1,7 @@
 """Flood engine: round semantics, spatial index, oracle equivalence."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -444,7 +445,7 @@ def batched_hits(index, apexes, axes, half_angle, groups=None, covered=None):
     covered = np.zeros(len(index.order), bool) if covered is None else covered
     covered = np.tile(covered, len(xs))
     slots = sector_hits(index, xs, ys, ux, uy, groups, cos_half, wide, shift, covered,
-                        np.zeros(len(covered), np.int32), lambda k: (ux[k], uy[k]))  # exact axes
+                        lambda k: (ux[k], uy[k]))  # exact axes
     found = [set() for _ in apexes]
     owner, pos = np.divmod(slots, n)
     for o, i in zip(owner.tolist(), index.order[pos].tolist()):
@@ -614,7 +615,7 @@ def test_sector_hits_drop_slots_covered_before_the_query():
 def test_sector_hits_mark_and_return_each_fresh_slot_once(monkeypatch):
     # 40 overlapping sectors of one flood (shift 0) in chunks of 1000 pairs:
     # the slots come back once each, are the scan's hits less the covered
-    # ones, and are left covered, whatever the stamp held before
+    # ones, and are left covered
     monkeypatch.setattr(engine, "ROUND_CHUNK", 1000)
     rng = np.random.default_rng(23)
     pts = rng.uniform(0, 600, size=(400, 2))
@@ -629,14 +630,55 @@ def test_sector_hits_mark_and_return_each_fresh_slot_once(monkeypatch):
     slots = sector_hits(index, apexes[:, 0], apexes[:, 1], ux, uy, np.zeros(40, np.int64),
                         math.cos(half), np.array([math.cos(half + BOX_SLACK),
                                                   math.sin(half + BOX_SLACK)]),
-                        np.zeros(40, np.int64), covered, rng.integers(-9, 9, 400, np.int32),
-                        lambda k: (ux[k], uy[k]))
+                        np.zeros(40, np.int64), covered, lambda k: (ux[k], uy[k]))
     want = set().union(*(scan(pts, Sector(apex=Point2D(*a), axis=x, half_angle=half,
                                           radius=200.0))
                          for a, x in zip(apexes, axes)))
     assert len(slots) == len(set(slots.tolist())) > 0
     assert set(index.order[slots].tolist()) == want - set(index.order[before].tolist())
     assert (covered == (before | np.isin(np.arange(400), slots))).all()
+
+
+def test_sector_hits_return_a_slot_hit_by_many_sectors_once():
+    # 60 sectors on a ring of radius 150 m, in one chunk, all aimed at five
+    # points near its centre: each sector hits all five, so every slot is
+    # hit 60 times and comes back once; the two far points are never hit
+    pts = np.array([(500.0, 500.0), (510.0, 500.0), (490.0, 505.0), (500.0, 480.0),
+                    (505.0, 515.0), (100.0, 100.0), (900.0, 900.0)])
+    index = GridIndex(pts, 200.0, np.zeros(len(pts), np.int64))
+    ring = np.linspace(0.0, 2 * math.pi, 60, endpoint=False)
+    ux, uy = -np.cos(ring), -np.sin(ring)
+    covered = np.zeros(len(pts), bool)
+    half = 0.5
+    slots = sector_hits(index, 500.0 - 150.0 * ux, 500.0 - 150.0 * uy, ux, uy,
+                        np.zeros(60, np.int64), math.cos(half),
+                        np.array([math.cos(half + BOX_SLACK), math.sin(half + BOX_SLACK)]),
+                        np.zeros(60, np.int64), covered, lambda k: (ux[k], uy[k]))
+    assert sorted(index.order[slots].tolist()) == [0, 1, 2, 3, 4]
+    assert len(slots) == 5 and covered.sum() == 5
+
+
+def test_flood_fields_slots_cost_one_byte():
+    # 400 narrow floods over the first 6,000 or 9,000 rows of one 10,000-node
+    # field own 4 M slots: the call's peak stays within 1.25 B a slot, plus
+    # 64 B a point for the index and 64 B a pair of ROUND_CHUNK for a
+    # chunk's temporaries
+    rng = np.random.default_rng(41)
+    n, floods = 10_000, 400
+    field = rng.uniform(0.0, 7000.0, size=(n, 2))
+    d = rng.uniform(1000.0, 3000.0, floods)
+    ends = np.array([3500.0 - d / 2, np.full(floods, 3500.0), 3500.0 + d / 2,
+                     np.full(floods, 3500.0)])
+    args = ([field], np.zeros(floods, np.int64), rng.choice([6000, 9000], floods),
+            np.full(floods, math.radians(22.5)), ends, 200.0)
+    tracemalloc.start()
+    try:
+        slots = int(engine.flood_fields(*args).offsets[-1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert slots == floods * n
+    assert peak < 1.25 * slots + 64 * n + 64 * engine.ROUND_CHUNK
 
 
 def cell_keys(pts, groups, index):

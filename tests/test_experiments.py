@@ -5,12 +5,13 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sectorcast import engine, experiments
+from sectorcast import configio, engine, experiments
 from sectorcast.engine import propagate
 from sectorcast.experiments import (
     CellResult,
@@ -315,7 +316,8 @@ def test_sweeps_draw_each_field_once(monkeypatch, placement, fields):
 
 def recording_pool(monkeypatch, run=None):
     """Replace the process pool with a recorder of pool sizes and mapped
-    units, so no process starts; run(fn, *unit) stands in for fn(*unit)."""
+    units, so no process starts; run(fn, *unit) stands in for fn(*unit),
+    called as the map's iterator is read."""
     record = SimpleNamespace(started=[], units=[])
 
     class Pool:
@@ -331,7 +333,7 @@ def recording_pool(monkeypatch, run=None):
         def map(self, fn, *iterables, chunksize=1):
             units = list(zip(*iterables))
             record.units.extend(units)
-            return [run(fn, *unit) if run else fn(*unit) for unit in units]
+            return (run(fn, *unit) if run else fn(*unit) for unit in units)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
     return record
@@ -362,6 +364,42 @@ def test_workers_clamped_to_cpus_and_trials(monkeypatch):
     assert pool.started == [4, 2]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_summarises_each_chunk_as_its_last_unit_arrives(monkeypatch, workers):
+    # 150 slots hold 2 cells of N 60 a trial: 6 cells in 3 chunks of 3
+    # one-trial units.  A chunk's cells are summarised as its last unit
+    # arrives, before the next chunk's first unit runs, and the results
+    # are those of one chunk of all cells
+    spec = SweepSpec(base=small_config(n_nodes=60, seed=7), theta_deg_values=(45.0, 90.0, 135.0),
+                     n_values=(60,), d_values=(600.0, 800.0), trials=3)
+    want = run_sweep(spec)
+    assert len(experiments._units(spec.cells(), spec.trials)) == 1
+    monkeypatch.setattr(experiments, "BATCH_ROWS", 150)
+    assert [chunk for chunk, _, _ in experiments._units(spec.cells(), spec.trials)] == (
+        [[0, 1]] * 3 + [[2, 3]] * 3 + [[4, 5]] * 3)
+    assert same_cells(run_sweep(spec, workers=workers), want)
+    # the same sweep, with each unit and summary logged: a pool of 2 runs
+    # in-process, and its map, like the executor's, yields as it is read
+    events = []
+    run_unit, summarise = experiments._run_unit, experiments._summarise
+
+    def logged_unit(*unit):
+        events.append("unit")
+        return run_unit(*unit)
+
+    def logged_summary(*cell):
+        events.append("summary")
+        return summarise(*cell)
+
+    monkeypatch.setattr(experiments, "_run_unit", logged_unit)
+    monkeypatch.setattr(experiments, "_summarise", logged_summary)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    pool = recording_pool(monkeypatch)
+    assert same_cells(run_sweep(spec, workers=workers), want)
+    assert events == (["unit"] * 3 + ["summary"] * 2) * 3
+    assert pool.started == ([2] if workers > 1 else [])
+
+
 def no_flood(fn, configs, first, stop):
     """Stands in for _run_unit: no trial delivers."""
     shape = (len(configs), stop - first)
@@ -371,6 +409,8 @@ def no_flood(fn, configs, first, stop):
 def test_units_fit_slot_budget(monkeypatch):
     # 60 theta x 3 d cells at N 3000 hold 540,180 slots a trial: the cells
     # are packed into chunks of at most 174, every unit within BATCH_ROWS slots
+    # (2^19 here: the test is of the packing, not of the default budget)
+    monkeypatch.setattr(experiments, "BATCH_ROWS", 1 << 19)
     pool = recording_pool(monkeypatch, no_flood)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     spec = SweepSpec(base=small_config(square_side=4000.0),
@@ -441,10 +481,25 @@ def test_a_unit_copies_its_config_once_a_trial(monkeypatch, placement, eps_deg):
     assert [a.shape for a in out] == [(len(cells), 3)] * 3
 
 
+def test_default_budget_runs_the_sample_cfg_row_in_two_units():
+    # sample.cfg's 135-degree row, 9 cells of N up to 3000 at 50 trials,
+    # allocates 27,009 slots a trial: 2^20 slots hold 38 trials, so the
+    # 50 trials run as 2 units of 25
+    text = (Path(__file__).resolve().parents[1] / "sample.cfg").read_text(encoding="utf-8")
+    base, sweep = configio.parse_config_text(text)
+    configio.apply_overrides(base, sweep, ["sweep.theta_deg=135", "sweep.trials=50"])
+    spec = configio.to_sweep_spec(configio.to_scenario_config(base), sweep)
+    assert experiments.BATCH_ROWS == 1 << 20
+    assert experiments._units(spec.cells(), spec.trials) == [(list(range(9)), 0, 25),
+                                                            (list(range(9)), 25, 50)]
+
+
 def test_units_bound_allocated_slots_for_any_n_list(monkeypatch):
     # 40 N = 0 cells ahead of 40 at N 20,000 in cell order: an N 0 cell
     # floods a view of the trial's field at the chunk's largest N, so
     # packing them with the large cells would allocate 20,001 slots each
+    # (in a budget of 2^19 slots, as in test_units_fit_slot_budget)
+    monkeypatch.setattr(experiments, "BATCH_ROWS", 1 << 19)
     pool = recording_pool(monkeypatch, no_flood)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     spec = SweepSpec(base=small_config(square_side=4000.0),
