@@ -52,6 +52,7 @@ FULL_CIRCLE = -2.0
 # a pair whose dot - sqrt(q) * cos_half lies within NEAR * sqrt(q) of 0 is
 # decided again with the scalar axis; vector axes stay within NEAR / 1000 of it
 NEAR = 1e-9
+CELL = (0.6, 0.15)  # index cell width and height, in radii
 _TOWARD = np.array([[-1.0], [-1.0], [1.0], [1.0]])  # signs of the -x, -y, +x, +y box sides
 
 
@@ -74,16 +75,18 @@ class BroadcastOutcome:
 
 
 class GridIndex:
-    """Points sorted by (group, column, row) of square cells, with a start table.
+    """Points sorted by (group, column, row) of oblong cells, with a start table.
 
-    Cells are a third of the radius wide (wider when a group's extent would
-    need more than 4 * points / groups of them, so the table stays
-    O(points + groups) for any radius) from the points' smallest x and y.
-    start[k] is the position of cell k's first point in the sorted order, so
-    the points of one column in a range of rows are one run, found by two
-    lookups.  A query box meets one run per column; the runs are a superset
-    of the box, padded by a relative margin so that rounding in the box
-    corners cannot drop a point the exact test in sector_hits accepts.
+    Cells are CELL[0] radii wide and CELL[1] radii tall (both scaled up by
+    one factor when a group's extent would need more than 4 * points /
+    groups of them, so the table stays O(points + groups) for any radius)
+    from the points' smallest x and y.  start[k] is the position of cell k's
+    first point in the sorted order, so the points of one column in a range
+    of rows are one run, found by two lookups.  A query box meets one run
+    per column, and a tall narrow box of a wide sector meets few columns;
+    the runs are a superset of the box, padded by a relative margin so that
+    rounding in the box corners cannot drop a point the exact test in
+    sector_hits accepts.
     """
 
     def __init__(self, points: np.ndarray, radius: float, groups: np.ndarray):
@@ -97,10 +100,12 @@ class GridIndex:
                        else (np.zeros((2, 1)), np.zeros((2, 1))))
         self._abs_max = float(max(-origin.min(), top.max()))
         extent = float((top - origin).max())
-        self._cell = max(radius / 3.0, extent / math.sqrt(4.0 * n / self._ngroups) if n else 0.0)
+        unit = max(radius, extent / math.sqrt(4.0 * n / self._ngroups * CELL[0] * CELL[1])
+                   if n else 0.0)
+        self._cell = unit * np.array(CELL)  # (width, height)
         xy -= origin  # in place: xy is the build's one float temporary
-        xy /= self._cell
-        cells = xy.astype(np.int32)  # a coordinate is below 2 * sqrt(points) + 1
+        xy /= self._cell[:, None]
+        cells = xy.astype(np.int32)  # a coordinate is below 4 * sqrt(points) + 1
         self._ncols, self._nrows = (cells.max(axis=1, initial=0) + 1).tolist()
         size = self._ngroups * self._ncols * self._nrows
         ids = (groups * self._ncols + cells[0]) * self._nrows + cells[1]
@@ -118,6 +123,7 @@ class GridIndex:
         self.sorted_x, self.sorted_y = (points[:, k].take(self.order) for k in (0, 1))
         # query boxes are (4, queries) rows: low x, low y, high x, high y
         self._origin = np.tile(origin, (2, 1))
+        self._size = np.tile(self._cell, 2)[:, None]
         self._clip = np.array([[0, 0, -1, -1], [self._ncols, self._nrows, self._ncols - 1,
                                                 self._nrows - 1]])[..., None]
 
@@ -131,21 +137,26 @@ class GridIndex:
         # one margin for the call, scaled by the largest coordinate in play
         pad = 1e-9 * (max(self._abs_max, np.abs(apex).max(initial=0.0)) + self.radius)
         reach = (self.radius * reach + pad) * _TOWARD
-        cells = np.floor((apex + reach - self._origin) / self._cell)
+        cells = np.floor((apex + reach - self._origin) / self._size)
         cells = np.minimum(np.maximum(cells, self._clip[0]), self._clip[1]).astype(np.int64)
         cols, rows = np.maximum(cells[2:] - cells[:2] + 1, 0)
         spans = cols * ((rows > 0) & (groups < self._ngroups))
         # array methods: the np.* wrappers cost more than a round's small arrays
         query = np.arange(len(groups)).repeat(spans)
-        col = (cells[0] - spans.cumsum() + spans).repeat(spans) + np.arange(len(query))
-        base = (groups[query] * self._ncols + col) * self._nrows
-        return query, self.start[base + cells[1, query]], self.start[base + cells[3, query] + 1]
+        # run k of the call reads start[first[query] + k * nrows]: first is a
+        # query's first start-table index less its first run number times nrows
+        first = (groups * self._ncols + cells[0] - spans.cumsum() + spans) * self._nrows + cells[1]
+        lo = first.repeat(spans)
+        lo += np.arange(len(query)) * self._nrows
+        return query, self.start[lo], self.start[lo + rows.repeat(spans)]
 
-    def candidates(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Positions in the sorted order of every point in the runs [lo, hi)."""
-        counts = hi - lo
-        starts = (lo - counts.cumsum() + counts).repeat(counts)
-        return starts + np.arange(len(starts))
+    def candidates(self, base: np.ndarray, counts: np.ndarray, done: int) -> np.ndarray:
+        """Slots of every pair of a chunk of runs, numbered on from done:
+        run k holds counts[k] pairs, and pair number p of it is slot
+        base[k] + p."""
+        slots = base.repeat(counts)
+        slots += np.arange(done, done + len(slots))
+        return slots
 
 
 def _in_sectors(dx: np.ndarray, dy: np.ndarray, ux: np.ndarray, uy: np.ndarray, r2: float,
@@ -156,13 +167,18 @@ def _in_sectors(dx: np.ndarray, dy: np.ndarray, ux: np.ndarray, uy: np.ndarray, 
     360-degree sector), per point or scalar.  (ux, uy) are vector-trig axes:
     a point in range whose gap, dot - sqrt(q) * cos_half, is within NEAR *
     sqrt(q) of 0 is decided again with exact(k), the scalar axes of points k."""
-    q = dx * dx + dy * dy
-    ok = (q > 0.0) & (q <= r2)
+    q = dx * dx  # in place below, in the operation order of the oracle's formula
+    q += dy * dy
+    ok = q > 0.0
+    ok &= q <= r2
     if not np.count_nonzero(ok):
         return ok
-    root = np.sqrt(q)
-    gap = dx * ux + dy * uy - root * cos_half
-    edge = ok & (np.abs(gap) <= NEAR * root)
+    root = np.sqrt(q, out=q)
+    gap = dx * ux
+    gap += dy * uy
+    gap -= root * cos_half
+    edge = np.abs(gap) <= NEAR * root
+    edge &= ok
     ok &= gap >= 0.0
     if np.count_nonzero(edge):
         k = edge.nonzero()[0]
@@ -186,10 +202,13 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray
     box of that wider sector.
 
     Query i's candidate at sorted position p is slot p + shift[i] of covered.
-    Pairs are tested in chunks of about ROUND_CHUNK; candidates whose slot
-    is covered when their chunk starts are dropped untested, and a chunk's
-    hits are deduped by sorting them, so covered, one byte a slot, is the
-    only array kept per slot.
+    The round's pairs are numbered run by run; each run's count, the running
+    pair number and the run's first slot less its first pair number are
+    computed once a round, so candidates expands a chunk of runs with one
+    repeat and one arange.  Pairs are tested in chunks of about ROUND_CHUNK;
+    candidates whose slot is covered when their chunk starts are dropped
+    untested, and a chunk's hits are deduped by sorting them, so covered,
+    one byte a slot, is the only array kept per slot.
     """
     # reach in radii toward -x, -y, +x and +y: the apex, both arc ends, and
     # each cardinal extreme within the half-angle
@@ -197,20 +216,20 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray
     u = np.array((-ux, -uy, ux, uy))
     reach = np.where(u >= c, 1.0, np.maximum(u * c + np.abs(u[::-1]) * s, 0.0))
     query, lo, hi = index.ranges(xs, ys, reach, groups)
-    ends = (hi - lo).cumsum()
+    counts = hi - lo
+    ends = counts.cumsum()  # pairs numbered through the round
     cuts = []
     if len(ends) and ends[-1] > ROUND_CHUNK:
         cuts = np.searchsorted(ends, np.arange(ROUND_CHUNK, ends[-1], ROUND_CHUNK), side="right")
         cuts = np.unique(cuts[(cuts > 0) & (cuts < len(lo))]).tolist()
-    run_shift = shift[query]
-    lo, hi = lo + run_shift, hi + run_shift  # runs of slots
+    base = lo + shift[query] - ends + counts  # each run's first slot less its first pair number
     r2 = index.radius * index.radius
     fresh = []
     # index arrays and take: boolean masks and fancy indexing cost 2-4x more per pair
     for a, b in zip((0, *cuts), (*cuts, len(lo))):
-        slots = index.candidates(lo[a:b], hi[a:b])
+        slots = index.candidates(base[a:b], counts[a:b], int(ends[a - 1]) if a else 0)
         live = np.flatnonzero(~covered.take(slots))
-        owner = query[a:b].repeat(hi[a:b] - lo[a:b]).take(live)
+        owner = query[a:b].repeat(counts[a:b]).take(live)
         slots = slots.take(live)
         pos = slots - shift.take(owner)
         c = cos_half.take(owner) if np.ndim(cos_half) else cos_half
@@ -333,16 +352,21 @@ def flood_fields(fields: Sequence[np.ndarray], field_of: Sequence[int], n_nodes:
     covered = np.zeros(offsets[-1], dtype=bool)
     # a flood over the first n rows of its field: the slots of the rows
     # past n start covered, so no transmitter tests them, and are cleared
-    # after the last round
+    # after the last round.  Floods are taken in (field, n) order, so one
+    # mask of those rows is held at a time
     starts, stops = field_start.tolist(), offsets.tolist()
-    partial = [(slice(stops[b], stops[b + 1]), g, n)
-               for b, (g, n) in enumerate(zip(field_of.tolist(), n_nodes.tolist()))
-               if n < starts[g + 1] - starts[g]]
-    past = {}  # (field, n) -> per sorted position of the field: row >= n
-    for slots, g, n in partial:
-        if (g, n) not in past:
-            past[g, n] = index.order[starts[g]:starts[g + 1]] >= starts[g] + n
-        covered[slots] = past[g, n]
+    partial = sorted((g, n, b) for b, (g, n) in enumerate(zip(field_of.tolist(), n_nodes.tolist()))
+                     if n < starts[g + 1] - starts[g])
+
+    def past():  # (slots, rows past n in sorted order) of each partial flood
+        key = None
+        for g, n, b in partial:
+            if (g, n) != key:
+                key, mask = (g, n), index.order[starts[g]:starts[g + 1]] >= starts[g] + n
+            yield slice(stops[b], stops[b + 1]), mask
+
+    for slots, mask in past():
+        covered[slots] = mask
 
     tx_delta = np.zeros(n_floods)
     if errors is not None:
@@ -385,8 +409,8 @@ def flood_fields(fields: Sequence[np.ndarray], field_of: Sequence[int], n_nodes:
         tx_delta = (node_delta[index.order[pos] + delta_shift[tx_flood]] if errors is not None
                     else np.zeros(len(pos)))
 
-    for slots, g, n in partial:  # still covered: no transmitter tested them
-        covered[slots] ^= past[g, n]
+    for slots, mask in past():  # still covered: no transmitter tested them
+        covered[slots] ^= mask
     return BatchOutcome(offsets=offsets, covered=covered, first_hop=first_hop,
                         per_round=np.array(per_round).reshape(-1, n_floods),
                         order=index.order, base=field_start[field_of], n_nodes=n_nodes)

@@ -506,19 +506,40 @@ def test_grid_index_boundary_points_match_linear_scan():
 
 
 def test_grid_index_column_boundaries_match_linear_scan():
-    # cells are r/3 wide from the smallest x and y: points and apexes sit
-    # on column and row edges k * r/3, one ulp either side of them, and
-    # mid-cell
+    # cells are 0.6 r wide and 0.15 r tall from the smallest x and y: points
+    # and apexes sit on column edges k * 0.6 r and row edges k * 0.15 r, one
+    # ulp either side of them, and mid-cell
     r = 125.0
-    edges = np.arange(-1, 10) * (r / 3.0)
-    coords = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-                             edges + r / 6.0))
-    coords = coords[coords >= 0.0]
-    pts = np.array([(x, y) for x in coords for y in coords])
-    assert GridIndex(pts, r, np.zeros(len(pts), np.int64))._cell == r / 3.0
-    apexes = [(x, y) for x in coords[::7] for y in coords[::7]]
+    width, height = r * np.array(engine.CELL)
+
+    def around(edges, cell):
+        coords = np.concatenate((edges, np.nextafter(edges, -np.inf),
+                                 np.nextafter(edges, np.inf), edges + cell / 2))
+        return coords[coords >= 0.0]
+
+    xs = around(np.arange(-1, 5) * width, width)
+    ys = around(np.arange(-1, 17) * height, height)
+    pts = np.array([(x, y) for x in xs for y in ys])
+    assert GridIndex(pts, r, np.zeros(len(pts), np.int64))._cell.tolist() == [width, height]
+    apexes = [(x, y) for x in xs[::4] for y in ys[::11]]
     for axis, half in ((0.0, math.pi), (0.0, math.pi / 2), (math.pi, 0.3), (1.0, 2.0)):
         check_against_scan(pts, r, apexes, [axis] * len(apexes), half)
+
+
+def test_candidates_are_the_runs_of_slots_in_order():
+    # run k of a chunk holds counts[k] slots from first[k]; the chunk's pairs
+    # are numbered on from done, so base[k] is first[k] less the number of
+    # the run's first pair
+    rng = np.random.default_rng(24)
+    index = GridIndex(np.zeros((0, 2)), 1.0, np.zeros(0, np.int64))
+    for done, counts in ((0, [3, 0, 5, 1]), (17, [0, 0, 4]), (9, [0]), (5, []),
+                         (1000, rng.integers(0, 4, 50))):
+        counts = np.asarray(counts, np.int64)
+        first = rng.integers(0, 10_000, len(counts))
+        base = first - (done + counts.cumsum() - counts)
+        want = [np.arange(f, f + c) for f, c in zip(first.tolist(), counts.tolist())]
+        got = index.candidates(base, counts, done)
+        assert got.tolist() == np.concatenate([np.zeros(0, np.int64), *want]).tolist()
 
 
 def test_sector_box_edges_match_linear_scan():
@@ -658,19 +679,16 @@ def test_sector_hits_return_a_slot_hit_by_many_sectors_once():
     assert len(slots) == 5 and covered.sum() == 5
 
 
-def test_flood_fields_slots_cost_one_byte():
-    # 400 narrow floods over the first 6,000 or 9,000 rows of one 10,000-node
-    # field own 4 M slots: the call's peak stays within 1.25 B a slot, plus
-    # 64 B a point for the index and 64 B a pair of ROUND_CHUNK for a
-    # chunk's temporaries
-    rng = np.random.default_rng(41)
-    n, floods = 10_000, 400
+def peak_of_narrow_floods(rng, n, n_nodes):
+    """(slots, tracemalloc peak) of one flood_fields call: 22.5-degree floods
+    over the first n_nodes[b] rows of one n-node field in a 7,000 m square."""
+    floods = len(n_nodes)
     field = rng.uniform(0.0, 7000.0, size=(n, 2))
     d = rng.uniform(1000.0, 3000.0, floods)
     ends = np.array([3500.0 - d / 2, np.full(floods, 3500.0), 3500.0 + d / 2,
                      np.full(floods, 3500.0)])
-    args = ([field], np.zeros(floods, np.int64), rng.choice([6000, 9000], floods),
-            np.full(floods, math.radians(22.5)), ends, 200.0)
+    args = ([field], np.zeros(floods, np.int64), n_nodes, np.full(floods, math.radians(22.5)),
+            ends, 200.0)
     tracemalloc.start()
     try:
         slots = int(engine.flood_fields(*args).offsets[-1])
@@ -678,13 +696,35 @@ def test_flood_fields_slots_cost_one_byte():
     finally:
         tracemalloc.stop()
     assert slots == floods * n
-    assert peak < 1.25 * slots + 64 * n + 64 * engine.ROUND_CHUNK
+    return slots, peak
+
+
+def test_flood_fields_slots_cost_one_byte():
+    # 400 narrow floods over the first 6,000 or 9,000 rows of one 10,000-node
+    # field own 4 M slots: the call's peak stays within 1.25 B a slot, plus
+    # 64 B a point for the index and 64 B a pair of ROUND_CHUNK for a
+    # chunk's temporaries
+    rng = np.random.default_rng(41)
+    slots, peak = peak_of_narrow_floods(rng, 10_000, rng.choice([6000, 9000], 400))
+    assert peak < 1.25 * slots + 64 * 10_000 + 64 * engine.ROUND_CHUNK
+
+
+def test_floods_with_many_node_counts_cost_one_byte_a_slot():
+    # 1,400 narrow floods over the first 500-2,999 rows of one 3,000-node
+    # field, nearly every one with its own n_nodes: the rows past each
+    # flood's n start covered, and their masks must not pile up beside the
+    # 4.2 M slots (a mask kept per distinct n_nodes is 2.6 B a slot)
+    rng = np.random.default_rng(42)
+    slots, peak = peak_of_narrow_floods(rng, 3000, rng.integers(500, 3000, 1400))
+    assert peak < 1.25 * slots + 64 * 3000 + 64 * engine.ROUND_CHUNK
 
 
 def cell_keys(pts, groups, index):
     """Each point's cell key, (group, column, row) in the index's cells of
-    width index._cell from the points' smallest x and y."""
-    cells = ((pts - pts.min(axis=0)) / index._cell).astype(np.int64)
+    width index._cell[0] and height index._cell[1] from the points'
+    smallest x and y."""
+    width, height = index._cell
+    cells = ((pts - pts.min(axis=0)) / (width, height)).astype(np.int64)
     cols, rows = cells.max(axis=0) + 1
     return (groups * cols + cells[:, 0]) * rows + cells[:, 1]
 
@@ -706,6 +746,8 @@ def test_grid_index_order_is_the_stable_argsort_of_cell_keys():
     for pts, groups in cases:
         index = GridIndex(pts, 200.0, groups)
         keys = cell_keys(pts, groups, index)
+        width, height = index._cell  # scaled up together where the table bound applies
+        assert math.isclose(width / height, engine.CELL[0] / engine.CELL[1], rel_tol=1e-12)
         assert index.order.dtype == np.intp
         assert index.order.tolist() == np.argsort(keys, kind="stable").tolist()
         counts = np.bincount(keys, minlength=len(index.start) - 1)

@@ -4,12 +4,14 @@
 Run from the repository root:
 
     python3 tools/ab.py --base HEAD --workload grid-narrow --pairs 40 --seed 5
+    python3 tools/ab.py --base HEAD --config sample.cfg --pairs 12
 
 The base revision's src/sectorcast is extracted with ``git archive`` into a
 temporary directory and imported as the package ``sectorcast_base`` (the
 package imports itself relatively, so the name is free); the working
 tree's src/sectorcast is imported as ``sectorcast``.  Pair k runs one sweep
-of a bench/workloads.py workload on each copy, with config seed
+of a bench/workloads.py workload, or with --config of a config file's
+[sweep] section on one worker, on each copy, with config seed
 ``op_seed(seed, k)`` as ``bench/run.py`` gives op k, and alternates which
 copy runs first.  Both copies must return identical CellResults, or the
 run stops with exit code 1.  Only ``experiments.run_sweep`` is timed, after
@@ -41,6 +43,18 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from workloads import WORKLOADS, op_seed  # noqa: E402
+
+
+class ConfigSweep:
+    """The [sweep] section of a config file, run as a bench workload is, on one worker."""
+
+    workers = 1
+
+    def __init__(self, path: Path):
+        self.name, self._text = str(path), path.read_text(encoding="utf-8")
+
+    def config_text(self) -> str:
+        return self._text
 
 
 def extract(rev: str, into: Path, name: str) -> None:
@@ -98,17 +112,19 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     sweeps = [name for name, w in WORKLOADS.items() if w.is_sweep]
-    parser.add_argument("--workload", choices=sweeps, default="grid-narrow")
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--workload", choices=sweeps, default="grid-narrow")
+    source.add_argument("--config", type=Path, help="a config file whose sweep to run")
     parser.add_argument("--pairs", type=int, default=40, help="timed pairs, at least 2")
     parser.add_argument("--seed", type=int, default=1, help="workload seed, as in bench/run.py")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    workload = ConfigSweep(args.config) if args.config else WORKLOADS[args.workload]
     with tempfile.TemporaryDirectory() as tmp:
         extract(args.base, Path(tmp), "sectorcast_base")
         sys.path.insert(0, tmp)
-        report = compare("sectorcast_base", "sectorcast", WORKLOADS[args.workload], args.seed,
-                         args.pairs)
+        report = compare("sectorcast_base", "sectorcast", workload, args.seed, args.pairs)
     print(json.dumps({"base": args.base, **report}))
     return 0
 
