@@ -16,10 +16,10 @@ bounding box.  The index holds nodes only, one group per field.  Each
 flood keeps its own covered slots, one per row of its field, laid out in
 the index's sort order, so a candidate run of the index is a run of the
 flood's slots and covered candidates are dropped before any coordinate is
-gathered; the rows past a flood's own nodes start covered.  sector_hits
-marks a round's hits covered and returns each fresh slot once.  Each
-transmitter tests its own destination as one extra point.  propagate
-floods one scenario: a flood_fields call over its own field.
+gathered; the rows past a flood's own nodes stay covered, untested.
+sector_hits marks a round's hits covered and returns each fresh slot
+once.  Each transmitter tests its own destination as one extra point.
+propagate floods one scenario: a flood_fields call over its own field.
 
 Axes come from numpy's vector trig, which may differ from the scalar math
 of the in_sector oracle in the last bits; every pair within NEAR of its
@@ -284,12 +284,13 @@ class BatchOutcome:
     the sort order of the batch's GridIndex, not in node order: slot
     offsets[b] + k is row order[base[b] + k] - base[b].  That layout follows
     the index and changes with it; outcome(b) maps the slots back to node
-    ids.  Every covered node relays exactly once, so a flood's transmitters
-    are its source and its covered nodes.
+    ids.  A slot is covered when no transmitter tests it: its node was
+    reached, or its row is past n_nodes[b].  Every node reached relays
+    exactly once, so a flood's transmitters are its source and those nodes.
     """
 
     offsets: np.ndarray    # (B + 1,) slot offsets
-    covered: np.ndarray    # per slot: the message reached the node
+    covered: np.ndarray    # per slot: reached, or a row past the flood's n_nodes
     first_hop: np.ndarray  # (B,) round that first reached the destination, 0 if none
     per_round: np.ndarray  # (rounds, B) transmitters per round
     order: np.ndarray      # the index's sort order: sorted position -> row of all fields
@@ -309,7 +310,8 @@ class BatchOutcome:
     def outcome(self, b: int) -> BroadcastOutcome:
         lo, hi = int(self.offsets[b]), int(self.offsets[b + 1])
         base = int(self.base[b])
-        nodes = (self.order[base + np.flatnonzero(self.covered[lo:hi])] - base).tolist()
+        rows = self.order[base + np.flatnonzero(self.covered[lo:hi])] - base
+        nodes = rows[rows < self.n_nodes[b]].tolist()
         hop = int(self.first_hop[b])
         counts = self.per_round[:, b]
         counts = counts[counts > 0]
@@ -338,11 +340,15 @@ def flood_fields(fields: Sequence[np.ndarray], field_of: Sequence[int], n_nodes:
     Flood b runs over the first n_nodes[b] rows of fields[field_of[b]], with
     a beam of theta[b] radians, from (ends[0, b], ends[1, b]) to (ends[2, b],
     ends[3, b]).  errors[g] holds field g's aiming draws, draw 0 for the
-    source and draw r + 1 for row r; None means no aiming error.
+    source and draw r + 1 for row r, so at least len(fields[g]) + 1 of them
+    (ValueError otherwise); None means no aiming error.
     """
     field_of = np.asarray(field_of, np.int64)
     n_nodes = np.asarray(n_nodes, np.int64)
     n_floods = len(field_of)
+    if errors is not None and (len(errors) != len(fields)
+                               or any(len(e) <= len(f) for e, f in zip(errors, fields))):
+        raise ValueError("errors must hold one array per field of at least len(field) + 1 draws")
     index = build_index(fields, radius)
     sizes = np.array([len(f) for f in fields], np.int64)
     field_start = np.concatenate(([0], np.cumsum(sizes)))
@@ -350,31 +356,17 @@ def flood_fields(fields: Sequence[np.ndarray], field_of: Sequence[int], n_nodes:
     # flood b's slot of sorted position p is p + shift[b]
     shift = offsets[:-1] - field_start[field_of]
     covered = np.zeros(offsets[-1], dtype=bool)
-    # a flood over the first n rows of its field: the slots of the rows
-    # past n start covered, so no transmitter tests them, and are cleared
-    # after the last round.  Floods are taken in (field, n) order, so one
-    # mask of those rows is held at a time
+    # the slots of the rows past a flood's n stay covered, so no transmitter tests them
     starts, stops = field_start.tolist(), offsets.tolist()
-    partial = sorted((g, n, b) for b, (g, n) in enumerate(zip(field_of.tolist(), n_nodes.tolist()))
-                     if n < starts[g + 1] - starts[g])
-
-    def past():  # (slots, rows past n in sorted order) of each partial flood
-        key = None
-        for g, n, b in partial:
-            if (g, n) != key:
-                key, mask = (g, n), index.order[starts[g]:starts[g + 1]] >= starts[g] + n
-            yield slice(stops[b], stops[b + 1]), mask
-
-    for slots, mask in past():
-        covered[slots] = mask
+    for b in np.flatnonzero(n_nodes < sizes[field_of]).tolist():
+        lo, hi, g = stops[b], stops[b + 1], starts[field_of[b]]
+        np.greater_equal(index.order[g:g + hi - lo], g + n_nodes[b], out=covered[lo:hi])
 
     tx_delta = np.zeros(n_floods)
     if errors is not None:
-        # flood b reads row r's draw at node_delta[row of all fields + delta_shift[b]]
-        row_start = np.concatenate(([0], np.cumsum([len(e) for e in errors])))[field_of]
-        node_delta = np.concatenate(errors)
-        tx_delta = node_delta[row_start]
-        delta_shift = row_start + 1 - field_start[field_of]
+        # the row draws in the index's sorted order: sorted position p aims with delta[p]
+        delta = np.concatenate([e[1:len(f) + 1] for e, f in zip(errors, fields)])[index.order]
+        tx_delta = np.array([e[0] for e in errors])[field_of]
 
     r2 = radius * radius
     halves = np.asarray(theta, dtype=float) / 2.0
@@ -406,11 +398,8 @@ def flood_fields(fields: Sequence[np.ndarray], field_of: Sequence[int], n_nodes:
         tx_flood = offsets.searchsorted(fresh, side="right") - 1
         pos = fresh - shift[tx_flood]
         tx_x, tx_y = index.sorted_x[pos], index.sorted_y[pos]
-        tx_delta = (node_delta[index.order[pos] + delta_shift[tx_flood]] if errors is not None
-                    else np.zeros(len(pos)))
+        tx_delta = delta[pos] if errors is not None else np.zeros(len(pos))
 
-    for slots, mask in past():  # still covered: no transmitter tested them
-        covered[slots] ^= mask
     return BatchOutcome(offsets=offsets, covered=covered, first_hop=first_hop,
                         per_round=np.array(per_round).reshape(-1, n_floods),
                         order=index.order, base=field_start[field_of], n_nodes=n_nodes)

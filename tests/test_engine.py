@@ -238,8 +238,9 @@ def test_batch_over_shared_nodes_matches_single_floods():
                     assert batch.outcome(b) == want, (eps_deg, placement, views_of, b)
                     assert batch.reached[b] == want.success
                     assert batch.implicated[b] == len(want.implicated)
-                    lo, hi = batch.offsets[b], batch.offsets[b + 1]
-                    assert batch.covered[lo:hi].sum() == len(want.covered - {len(scenario.nodes)})
+                    # covered: the rows reached, and every row past the flood's n
+                    lo, hi, n = batch.offsets[b], batch.offsets[b + 1], len(scenario.nodes)
+                    assert batch.covered[lo:hi].sum() == len(want.covered - {n}) + (hi - lo) - n
                     delivered.add(want.success)
     assert delivered == {True, False}
 
@@ -524,6 +525,32 @@ def test_grid_index_column_boundaries_match_linear_scan():
     apexes = [(x, y) for x in xs[::4] for y in ys[::11]]
     for axis, half in ((0.0, math.pi), (0.0, math.pi / 2), (math.pi, 0.3), (1.0, 2.0)):
         check_against_scan(pts, r, apexes, [axis] * len(apexes), half)
+
+
+def test_grid_index_pads_boxes_for_offsets_that_round_to_the_radius():
+    # x, one ulp past the rounded apex + r, is in range when (x - apex)^2
+    # rounds to at most r * r; with the index's lowest point one cell width
+    # left of x, a column edge lies between the box corner apex + r and x,
+    # so the box reaches x's column only through GridIndex.ranges' pad
+    rng = np.random.default_rng(31)
+    cases = 0
+    for _ in range(1000):
+        r = float(rng.uniform(10.0, 900.0))
+        ax = float(rng.uniform(0.0, r))
+        x = math.nextafter(ax + r, math.inf)
+        width = r * engine.CELL[0]
+        anchor = x - width
+        if ((x - ax) * (x - ax) > r * r
+                or math.floor((ax + r - anchor) / width) == math.floor((x - anchor) / width)):
+            continue
+        cases += 1
+        pts = np.array([(anchor, -0.1 * r), (x, 0.0)])
+        index = GridIndex(pts, r, np.zeros(2, np.int64))
+        assert index._cell[0] == width
+        s = Sector(apex=Point2D(ax, 0.0), axis=0.0, half_angle=math.pi / 4, radius=r)
+        assert scan(pts, s) == {0, 1}
+        assert batched_hits(index, [(ax, 0.0)], [0.0], math.pi / 4) == [{0, 1}], (ax, r)
+    assert cases >= 5
 
 
 def test_candidates_are_the_runs_of_slots_in_order():
@@ -939,6 +966,44 @@ def test_direction_error_is_actually_consumed():
         out = flood_each([s], [np.random.default_rng(k).uniform(-eps, eps, 2)]).outcome(0)
         hits.add(0 in out.covered)
     assert hits == {True, False}
+
+
+def test_flood_fields_rejects_short_aiming_draws():
+    # errors[g] needs a draw for the source and one per row of field g: a
+    # short array would aim field 0's last row with field 1's first draw,
+    # and run off the end of the last field's draws
+    nodes = generate(ScenarioConfig(square_side=1500.0, radius=250.0, n_nodes=90, seed=3)).nodes
+    ends = np.tile([[100.0], [750.0], [1400.0], [750.0]], 2)
+    for errors in ([np.zeros(90), np.zeros(91)], [np.zeros(91), np.zeros(90)], [np.zeros(91)],
+                   [np.zeros(91)] * 3):
+        with pytest.raises(ValueError, match="errors"):
+            engine.flood_fields([nodes, nodes], [0, 1], [90, 90], [1.0, 1.0], ends, 250.0, errors)
+
+
+def test_longer_aiming_draws_aim_as_exact_ones():
+    # the aiming stream is prefix-stable, so draws past a field's last row
+    # go unread: floods over the first 45 rows and all 90 rows of a fixed
+    # field, and over a Poisson field behind it, aim as with exact arrays
+    # and as each flood does alone
+    base = ScenarioConfig(square_side=1500.0, radius=250.0, n_nodes=90, direction_error_deg=20.0)
+    fields, scenarios, field_of = [], [], []
+    for g, (seed, placement, views) in enumerate(((3, Placement.FIXED_COUNT, (45, 90)),
+                                                  (4, Placement.POISSON_COUNT, (None,)))):
+        cfg = replace(base, seed=seed, placement=placement)
+        fields.append(generate(cfg).nodes)
+        for n in views:
+            n = len(fields[g]) if n is None else n
+            scenarios += shared_field(replace(cfg, n_nodes=n), (45.0, 135.0), (600.0, 1200.0),
+                                      fields[g][:n])
+            field_of += [g] * 4
+    eps = base.direction_error_bound
+    exact = [engine.aim_errors(seed, eps, len(f) + 1) for seed, f in zip((3, 4), fields)]
+    longer = [engine.aim_errors(seed, eps, len(f) + extra)
+              for seed, f, extra in zip((3, 4), fields, (60, 2))]
+    want, got = (flood_views(scenarios, fields, field_of, e) for e in (exact, longer))
+    for b, scenario in enumerate(scenarios):
+        alone = propagate(replace(scenario, nodes=scenario.nodes.copy()))
+        assert got.outcome(b) == want.outcome(b) == alone, b
 
 
 def test_coincident_endpoints_fail_gracefully():
