@@ -7,18 +7,19 @@ are covered, newly covered nodes relay exactly once in the next round, and
 the flood runs until no transmitters remain, whether or not the destination
 was reached earlier.
 
-flood_fields is the kernel: each flood runs over the first n_nodes rows
-of a field with its own beam and endpoints, so the floods of a sweep
-trial, of any theta, d and n_nodes, share one field.  Each round tests
-every (transmitter, candidate) pair of every flood in a few numpy passes,
-where a transmitter's candidates are the index's nodes in its sector's
-bounding box.  The index holds nodes only, one group per field.  Each
-flood keeps its own covered slots, one per row of its field, laid out in
-the index's sort order, so a candidate run of the index is a run of the
-flood's slots and covered candidates are dropped before any coordinate is
-gathered; the rows past a flood's own nodes stay covered, untested.
-sector_hits marks a round's hits covered and returns each fresh slot
-once.  Each transmitter tests its own destination as one extra point.
+flood_fields is the kernel, the library's one batch entry and its one
+aiming seam: each flood runs over the first n_nodes rows of a field with
+its own beam and endpoints, so the floods of a sweep trial, of any theta,
+d and n_nodes, share one field.  Each round tests every (transmitter,
+candidate) pair of every flood in a few numpy passes, where a
+transmitter's candidates are the index's nodes in its sector's bounding
+box.  The index holds nodes only, one group per field.  Each flood keeps
+its own covered slots, one per row of its field, laid out in the index's
+sort order, so a candidate run of the index is a run of the flood's slots
+and covered candidates are dropped before any coordinate is gathered; the
+rows past a flood's own nodes stay covered, untested.  sector_hits marks
+a round's hits covered and returns each fresh slot once.  Each
+transmitter tests its own destination as one extra point.
 propagate floods one scenario: a flood_fields call over its own field.
 
 Axes come from numpy's vector trig, which may differ from the scalar math
@@ -83,10 +84,10 @@ class GridIndex:
     from the points' smallest x and y.  start[k] is the position of cell k's
     first point in the sorted order, so the points of one column in a range
     of rows are one run, found by two lookups.  A query box meets one run
-    per column, and a tall narrow box of a wide sector meets few columns;
-    the runs are a superset of the box, padded by a relative margin so that
-    rounding in the box corners cannot drop a point the exact test in
-    sector_hits accepts.
+    per column, a tall narrow box of a wide sector meets few columns, and
+    short rows keep each run close to the box; the runs are a superset of
+    the box, padded by a relative margin so that rounding in the box
+    corners cannot drop a point the exact test in sector_hits accepts.
     """
 
     def __init__(self, points: np.ndarray, radius: float, groups: np.ndarray):
@@ -166,7 +167,9 @@ def _in_sectors(dx: np.ndarray, dy: np.ndarray, ux: np.ndarray, uy: np.ndarray, 
     sqrt(q) * cos_half, the cosine of the half-angle (FULL_CIRCLE for a
     360-degree sector), per point or scalar.  (ux, uy) are vector-trig axes:
     a point in range whose gap, dot - sqrt(q) * cos_half, is within NEAR *
-    sqrt(q) of 0 is decided again with exact(k), the scalar axes of points k."""
+    sqrt(q) of 0 is decided again with exact(k), the scalar axes of points k.
+    This is the library's only sector-membership test: sector_hits and the
+    flood's destination test both call it."""
     q = dx * dx  # in place below, in the operation order of the oracle's formula
     q += dy * dy
     ok = q > 0.0
@@ -199,7 +202,8 @@ def sector_hits(index: GridIndex, xs: np.ndarray, ys: np.ndarray, ux: np.ndarray
     sector) is a per-query array, or a scalar when every query has the same
     half-angle.  wide holds cos and sin of the half-angle plus BOX_SLACK,
     capped at pi, in the same form: the index is queried over the bounding
-    box of that wider sector.
+    box of that wider sector (its apex, both arc ends and each cardinal
+    extreme of its arc).  The fresh slots are the next round's transmitters.
 
     Query i's candidate at sorted position p is slot p + shift[i] of covered.
     The round's pairs are numbered run by run; each run's count, the running
@@ -308,6 +312,9 @@ class BatchOutcome:
         return self.per_round.sum(axis=0)
 
     def outcome(self, b: int) -> BroadcastOutcome:
+        """Flood b as a BroadcastOutcome: its covered slots mapped back to
+        node ids, the rows past n_nodes[b] dropped, and the destination as
+        id n_nodes[b] when the message reached it."""
         lo, hi = int(self.offsets[b]), int(self.offsets[b + 1])
         base = int(self.base[b])
         rows = self.order[base + np.flatnonzero(self.covered[lo:hi])] - base
@@ -339,9 +346,18 @@ def flood_fields(fields: Sequence[np.ndarray], field_of: Sequence[int], n_nodes:
 
     Flood b runs over the first n_nodes[b] rows of fields[field_of[b]], with
     a beam of theta[b] radians, from (ends[0, b], ends[1, b]) to (ends[2, b],
-    ends[3, b]).  errors[g] holds field g's aiming draws, draw 0 for the
-    source and draw r + 1 for row r, so at least len(fields[g]) + 1 of them
-    (ValueError otherwise); None means no aiming error.
+    ends[3, b]); 0 <= n_nodes[b] <= len(fields[field_of[b]]) (ValueError
+    otherwise).  The slots of the rows past n_nodes[b] are covered before
+    round 0, by one compare of the index order a flood, and stay covered.
+
+    errors[g] holds field g's aiming draws, draw 0 for the source and draw
+    r + 1 for row r, so at least len(fields[g]) + 1 of them (ValueError
+    otherwise); longer arrays are read up to their field's rows, and None
+    means no aiming error.  With the prefix-stable aim_errors stream a flood
+    over the first n rows reads the draws it would read alone.  A call
+    gathers the row draws into the index's sorted order once.
+
+    Outcomes do not depend on how floods are batched.
     """
     field_of = np.asarray(field_of, np.int64)
     n_nodes = np.asarray(n_nodes, np.int64)
@@ -349,8 +365,10 @@ def flood_fields(fields: Sequence[np.ndarray], field_of: Sequence[int], n_nodes:
     if errors is not None and (len(errors) != len(fields)
                                or any(len(e) <= len(f) for e, f in zip(errors, fields))):
         raise ValueError("errors must hold one array per field of at least len(field) + 1 draws")
-    index = build_index(fields, radius)
     sizes = np.array([len(f) for f in fields], np.int64)
+    if ((n_nodes < 0) | (n_nodes > sizes[field_of])).any():
+        raise ValueError("n_nodes[b] must lie in [0, len(fields[field_of[b]])]")
+    index = build_index(fields, radius)
     field_start = np.concatenate(([0], np.cumsum(sizes)))
     offsets = np.concatenate(([0], np.cumsum(sizes[field_of])))
     # flood b's slot of sorted position p is p + shift[b]

@@ -6,7 +6,8 @@ t of a cell reseeds the config with derive_seed(seed, t), and the field
 depends only on that seed and n_nodes.  With fixed placement the field at
 N is the first N rows of the field at any larger N, so trial t of every
 cell of a sweep floods a prefix of one field; a Poisson field need not be
-a prefix of a larger one, so there only the cells with one n_nodes share it.
+a prefix of a larger one (rng.poisson consumes a share of the stream that
+depends on the mean), so there only the cells with one n_nodes share it.
 A sweep therefore runs in units of (cells sharing a field draw, trial
 range): a unit derives each trial seed once, generates each field once, at
 its largest n_nodes, and passes the fields and its cells' theta, n_nodes
@@ -136,7 +137,11 @@ def _units(cells: list[ScenarioConfig], trials: int) -> list[tuple[list[int], in
     trial, cells x (largest n_nodes + 1) (at least one cell), and a chunk's
     trials are cut into near-equal ranges so that each unit holds at most
     BATCH_ROWS slots (at least one trial).  A Poisson flood gets one slot per
-    drawn node, so there the bound holds only in expectation.
+    drawn node, so there the bound holds only in expectation.  Memory stays
+    bounded however long the value lists are, also when many small cells
+    share a chunk with one large n_nodes, and a cell too large even alone
+    gets a unit per trial.  The 135-degree row of sample.cfg, 9 cells of
+    n_nodes up to 3000 at 50 trials, runs as 2 units of 25 trials.
     """
     groups: dict[int, list[int]] = {}
     for pos, cfg in enumerate(cells):
@@ -164,6 +169,9 @@ def _run_unit(configs: list[ScenarioConfig], first: int,
     Each trial's field is generated once, at the cells' largest n_nodes, and
     flooded by every cell: a cell at that n_nodes floods the whole field (a
     Poisson field holds its drawn count), a smaller one its first n_nodes rows.
+    It makes one config copy a trial, for generate, and none a cell, and
+    floods every trial of every cell in one flood_fields call, with each
+    cell's theta, n_nodes and endpoints tiled over the trials.
     """
     top = max(configs, key=lambda cfg: cfg.n_nodes)
     eps = top.direction_error_bound

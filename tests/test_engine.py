@@ -1006,9 +1006,39 @@ def test_longer_aiming_draws_aim_as_exact_ones():
         assert got.outcome(b) == want.outcome(b) == alone, b
 
 
+def test_flood_fields_rejects_node_counts_outside_the_field():
+    # flood b runs over the first n_nodes[b] rows of its field: a count past
+    # the field's rows would report a row's id as the destination, and a
+    # negative one would cover every slot before round 0 and flood nothing
+    nodes = generate(ScenarioConfig(square_side=1500.0, radius=250.0, n_nodes=90, seed=3)).nodes
+    ends = np.tile([[100.0], [750.0], [1400.0], [750.0]], 2)
+    for n_nodes in ([120, 90], [91, 90], [-5, 90], [0, -1]):
+        with pytest.raises(ValueError, match="n_nodes"):
+            engine.flood_fields([nodes], [0, 0], n_nodes, [1.0, 1.0], ends, 250.0)
+    batch = engine.flood_fields([nodes], [0, 0], [0, 90], [1.0, 1.0], ends, 250.0)
+    assert batch.outcome(0).implicated == {SOURCE_ID}
+    alone = propagate(make_scenario(nodes, (100.0, 750.0), (1400.0, 750.0), side=1500.0,
+                                    radius=250.0, theta_deg=math.degrees(1.0)))
+    assert batch.outcome(1) == alone
+    assert len(alone.implicated) > 1
+
+
+def test_coincident_endpoints_deliver_only_through_relays():
+    # at d = 0 the source cannot cover its own position (q = 0 fails the
+    # sector test), so no flood delivers at hop 1; a relay aims back at that
+    # position and can deliver it from hop 2 on
+    base = ScenarioConfig(sd_distance=0.0)  # the default 4000 m field of 2000 nodes
+    hops = [propagate(generate(replace(base, seed=seed, theta_deg=theta_deg))).first_delivery_hop
+            for seed in range(4) for theta_deg in (22.5, 90.0, 360.0)]
+    assert 1 not in hops
+    assert propagate(generate(base)).first_delivery_hop == 2
+
+
 def test_coincident_endpoints_fail_gracefully():
     # sd_distance 0 puts the destination on top of the source; the apex
-    # exclusion keeps it uncoverable and the flood must still terminate
+    # exclusion keeps the source from covering it, the source's sector holds
+    # no node of this sparse field to relay back to it, and the flood must
+    # still terminate
     cfg = ScenarioConfig(square_side=1000.0, n_nodes=20, radius=200.0,
                          theta_deg=90.0, sd_distance=0.0, seed=3)
     out = propagate(generate(cfg))
