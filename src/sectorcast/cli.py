@@ -78,7 +78,7 @@ def cmd_simulate(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSp
     ratio = len(outcome.implicated) / n_total
     print(f"scenario: N={config.n_nodes} side={config.square_side:g} m "
           f"r={config.radius:g} m theta={config.theta_deg:g} deg "
-          f"d={config.sd_distance:g} m seed={config.seed}")
+          f"d={config.d:g} m seed={config.seed}")
     if outcome.success:
         print(f"result: delivered, first delivery at hop {outcome.first_delivery_hop}")
     else:
@@ -119,23 +119,23 @@ def cmd_sweep(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
         print(f"max |model relative error| over {len(eligible)} "
               f"model-eligible cells: {abs(worst.model_relative_error):.4f} "
               f"(theta {worst.theta_deg:g} deg, N {worst.n_nodes}, "
-              f"d {worst.sd_distance:g} m, success rate {worst.success_rate:g})")
+              f"d {worst.d:g} m, success rate {worst.success_rate:g})")
     return EXIT_OK
 
 
 def cmd_compare(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
                 out_path: str) -> int:
-    return cmd_sweep(args, config, replace(spec, d_values=(config.sd_distance,)), out_path)
+    return cmd_sweep(args, config, replace(spec, d=(config.d,)), out_path)
 
 
 def cmd_model(args: argparse.Namespace, config: ScenarioConfig, spec: SweepSpec,
               out_path: str | None) -> int:
     lines = [
         f"r = {config.radius:g} m, theta = {config.theta_deg:g} deg, "
-        f"d = {config.sd_distance:g} m, field side = {config.square_side:g} m",
+        f"d = {config.d:g} m, field side = {config.square_side:g} m",
     ]
     try:
-        model = build_leaf(config.sd_distance, config.radius, config.theta)
+        model = build_leaf(config.d, config.radius, config.theta)
     except DegenerateLeafError:
         lines += [
             "degenerate case: d <= r, destination reachable in one hop",

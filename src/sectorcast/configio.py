@@ -5,10 +5,12 @@ section holding comma-separated value lists; '#' starts a comment.  CLI
 overrides use the same key names (sweep keys prefixed ``sweep.``) and
 unknown keys are rejected, never ignored.
 
-Every key is named once: _BASE maps a base key to its ScenarioConfig field
-and type, in echo order, and _SWEEP maps a [sweep] key to its SweepSpec
-field (a list of the base key's values, or the trial count).  Parsing,
-overrides, record and echo all read these tables.
+The keys are the dataclass fields: a base key is a ScenarioConfig field,
+parsed as its default's type, and a [sweep] key is a SweepSpec field after
+base, a list of the base key's values or the trial count.  _BASE and _SWEEP
+are read from the dataclasses in field order, which is the echo order, so
+parsing, overrides, record, echo and every validation message name a value
+by the key the user typed.
 
 CSV columns are fixed; floats are written with shortest-round-trip repr so
 parsed rows reproduce results bit-exactly, absent model fields are empty,
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import astuple
+from dataclasses import astuple, fields
 
 from .scenario import ConfigError, Placement, ScenarioConfig
 from .experiments import CellResult, SweepSpec
@@ -32,29 +34,19 @@ CSV_COLUMNS = (
     "model_ratio", "model_relative_error",
 )
 
-# base key -> (ScenarioConfig field, value type), in echo order
-_BASE = {
-    "square_side": ("square_side", float),
-    "n_nodes": ("n_nodes", int),
-    "radius": ("radius", float),
-    "theta_deg": ("theta_deg", float),
-    "d": ("sd_distance", float),
-    "seed": ("seed", int),
-    "placement": ("placement", Placement),
-    "direction_error_deg": ("direction_error_deg", float),
-}
-# [sweep] key -> SweepSpec field
-_SWEEP = {"theta_deg": "theta_deg_values", "n_nodes": "n_values", "d": "d_values",
-          "trials": "trials"}
+# base key -> value type, in echo order: the ScenarioConfig fields and their defaults' types
+_BASE = {f.name: type(f.default) for f in fields(ScenarioConfig)}
+# [sweep] keys, in echo order: the SweepSpec fields after base
+_SWEEP = tuple(f.name for f in fields(SweepSpec)[1:])
 
 
 def _from_file(key: str, text: str, kind):
-    """One config-file value as its field's type."""
+    """One config-file value as its key's type."""
     try:
         return kind(text.lower())  # float and int syntax is case-blind too
     except ValueError as exc:
-        what = "expected 'fixed' or 'poisson', got" if kind is Placement else "cannot parse"
-        raise ConfigError(f"field {key}: {what} {text!r}") from exc
+        what = {Placement: "'fixed' or 'poisson'", int: "an integer"}.get(kind, "a number")
+        raise ConfigError(f"{key} must be {what}, got {text!r}") from exc
 
 
 def parse_config_text(text: str, source: str = "<config>") -> tuple[dict, dict]:
@@ -95,34 +87,28 @@ def apply_overrides(base: dict, sweep: dict, overrides: list[str]) -> None:
 
 
 def to_scenario_config(base: dict) -> ScenarioConfig:
-    """Build a validated ScenarioConfig from raw strings; a rejection's
-    message ends with (key = text) for each given key it names."""
-    given = [(key, field, _from_file(key, base[key], kind))
-             for key, (field, kind) in _BASE.items() if key in base]
-    try:
-        return ScenarioConfig(**{field: value for _, field, value in given})
-    except ConfigError as exc:
-        named = [f"({key} = {base[key]})" for key, field, _ in given if field in str(exc)]
-        raise ConfigError(" ".join([str(exc), *named])) from exc
+    """Build a validated ScenarioConfig from raw strings."""
+    return ScenarioConfig(**{key: _from_file(key, base[key], kind)
+                             for key, kind in _BASE.items() if key in base})
 
 
 def to_sweep_spec(config: ScenarioConfig, sweep: dict) -> SweepSpec:
     """Build a SweepSpec around config; unset lists fall back to the defaults."""
     kwargs: dict = {"base": config}
-    for key, field in _SWEEP.items():
+    for key in _SWEEP:
         if key not in _BASE and key in sweep:  # trials, one integer
-            kwargs[field] = _from_file(key, sweep[key], int)
+            kwargs[key] = _from_file(key, sweep[key], int)
         elif key in sweep:
             items = [v.strip() for v in sweep[key].split(",") if v.strip()]
             if not items:
                 raise ConfigError(f"field {key}: empty list")
-            kwargs[field] = tuple(_from_file(key, v, _BASE[key][1]) for v in items)
+            kwargs[key] = tuple(_from_file(key, v, _BASE[key]) for v in items)
     return SweepSpec(**kwargs)
 
 
 def config_record(config: ScenarioConfig) -> dict:
     """Effective base configuration under its config-file keys."""
-    record = {key: getattr(config, field) for key, (field, _) in _BASE.items()}
+    record = {key: getattr(config, key) for key in _BASE}
     return {**record, "placement": config.placement.value}
 
 
@@ -130,11 +116,9 @@ def config_echo_lines(spec: SweepSpec) -> list[str]:
     """Effective configuration as '#' comment lines for output-file headers."""
     lines = [f"# {k} = {v}" for k, v in config_record(spec.base).items()]
     lines.append("# [sweep]")
-    for key, field in _SWEEP.items():
-        value = getattr(spec, field)
-        if key in _BASE:
-            value = ", ".join(map(str, value))
-        lines.append(f"# {key} = {value}")
+    for key in _SWEEP:
+        value = getattr(spec, key)
+        lines.append(f"# {key} = {', '.join(map(str, value)) if key in _BASE else value}")
     return lines
 
 

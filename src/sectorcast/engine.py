@@ -346,9 +346,11 @@ def flood_fields(fields: Sequence[np.ndarray], field_of: Sequence[int], n_nodes:
 
     Flood b runs over the first n_nodes[b] rows of fields[field_of[b]], with
     a beam of theta[b] radians, from (ends[0, b], ends[1, b]) to (ends[2, b],
-    ends[3, b]); 0 <= n_nodes[b] <= len(fields[field_of[b]]) (ValueError
-    otherwise).  The slots of the rows past n_nodes[b] are covered before
-    round 0, by one compare of the index order a flood, and stay covered.
+    ends[3, b]).  field_of, n_nodes and theta hold B >= 1 entries, ends is
+    (4, B), 0 <= field_of[b] < len(fields) and 0 <= n_nodes[b] <=
+    len(fields[field_of[b]]) (ValueError otherwise).  The slots of the rows
+    past n_nodes[b] are covered before round 0, by one compare of the index
+    order a flood, and stay covered.
 
     errors[g] holds field g's aiming draws, draw 0 for the source and draw
     r + 1 for row r, so at least len(fields[g]) + 1 of them (ValueError
@@ -361,11 +363,16 @@ def flood_fields(fields: Sequence[np.ndarray], field_of: Sequence[int], n_nodes:
     """
     field_of = np.asarray(field_of, np.int64)
     n_nodes = np.asarray(n_nodes, np.int64)
-    n_floods = len(field_of)
+    n_floods = field_of.size
     if errors is not None and (len(errors) != len(fields)
                                or any(len(e) <= len(f) for e, f in zip(errors, fields))):
         raise ValueError("errors must hold one array per field of at least len(field) + 1 draws")
     sizes = np.array([len(f) for f in fields], np.int64)
+    if (not n_floods or {field_of.shape, n_nodes.shape, np.shape(theta)} != {(n_floods,)}
+            or np.shape(ends) != (4, n_floods)):
+        raise ValueError("field_of, n_nodes and theta must hold B >= 1 entries, ends (4, B)")
+    if ((field_of < 0) | (field_of >= len(fields))).any():
+        raise ValueError("field_of[b] must lie in [0, len(fields))")
     if ((n_nodes < 0) | (n_nodes > sizes[field_of])).any():
         raise ValueError("n_nodes[b] must lie in [0, len(fields[field_of[b]])]")
     index = build_index(fields, radius)

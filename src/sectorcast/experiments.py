@@ -1,6 +1,6 @@
 """Monte Carlo estimation and parameter sweeps.
 
-A cell is one (theta, n_nodes, sd_distance) configuration run for a number
+A cell is one (theta, n_nodes, d) configuration run for a number
 of independent trials; a sweep is the cross product of value lists.  Trial
 t of a cell reseeds the config with derive_seed(seed, t), and the field
 depends only on that seed and n_nodes.  With fixed placement the field at
@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
@@ -58,22 +57,23 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Cross-product sweep around a base config."""
+    """Cross-product sweep around a base config; the fields after base are
+    the [sweep] keys."""
 
     base: ScenarioConfig
-    theta_deg_values: tuple[float, ...] = DEFAULT_THETA_GRID_DEG
-    n_values: tuple[int, ...] = DEFAULT_N_GRID
-    d_values: tuple[float, ...] = DEFAULT_D_GRID
+    theta_deg: tuple[float, ...] = DEFAULT_THETA_GRID_DEG
+    n_nodes: tuple[int, ...] = DEFAULT_N_GRID
+    d: tuple[float, ...] = DEFAULT_D_GRID
     trials: int = DEFAULT_TRIALS
 
     def __post_init__(self):
-        for name in ("theta_deg_values", "d_values"):  # integer values print as floats
+        for name in ("theta_deg", "d"):  # integer values print as floats
             object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
-        if not (self.theta_deg_values and self.n_values and self.d_values):
+        if not (self.theta_deg and self.n_nodes and self.d):
             raise ConfigError("sweep value lists must be non-empty")
-        cells = len(self.theta_deg_values) * len(self.n_values) * len(self.d_values)
+        cells = len(self.theta_deg) * len(self.n_nodes) * len(self.d)
         if cells > MAX_CELLS or cells * self.trials > MAX_CELL_TRIALS:
             raise ConfigError(f"a sweep of {cells} cells x {self.trials} trials passes MAX_CELLS "
                               f"= {MAX_CELLS} or MAX_CELL_TRIALS = {MAX_CELL_TRIALS}")
@@ -81,16 +81,14 @@ class SweepSpec:
     def cells(self) -> list[ScenarioConfig]:
         """Derived configs ordered by (d, n, theta); invalid cells abort here."""
         out = []
-        for d in sorted(self.d_values):
-            for n in sorted(self.n_values):
-                for theta_deg in sorted(self.theta_deg_values):
+        for d in sorted(self.d):
+            for n_nodes in sorted(self.n_nodes):
+                for theta_deg in sorted(self.theta_deg):
                     try:
-                        out.append(replace(self.base, theta_deg=theta_deg, n_nodes=n,
-                                           sd_distance=d))
+                        out.append(replace(self.base, theta_deg=theta_deg, n_nodes=n_nodes, d=d))
                     except ConfigError as exc:
-                        raise ConfigError(
-                            f"invalid sweep cell (theta_deg={theta_deg}, n={n}, d={d}): {exc}"
-                        ) from exc
+                        raise ConfigError(f"invalid sweep cell (theta_deg={theta_deg}, "
+                                          f"n_nodes={n_nodes}, d={d}): {exc}") from exc
         return out
 
 
@@ -108,7 +106,7 @@ class CellResult:
 
     theta_deg: float
     n_nodes: int
-    sd_distance: float
+    d: float
     trials: int
     success_rate: float
     success_ci_halfwidth: float
@@ -222,7 +220,7 @@ def _summarise(config: ScenarioConfig, success_flags: np.ndarray, ratios: np.nda
     model_ratio = None
     model_err = None
     try:
-        model = build_leaf(config.sd_distance, config.radius, config.theta)
+        model = build_leaf(config.d, config.radius, config.theta)
     except ValueError:  # no chain: d <= r, theta = 360 deg or past MAX_TRIANGLES
         model = None
     if model is not None and not model.non_terminating:
@@ -233,7 +231,7 @@ def _summarise(config: ScenarioConfig, success_flags: np.ndarray, ratios: np.nda
     return CellResult(
         theta_deg=config.theta_deg,
         n_nodes=config.n_nodes,
-        sd_distance=config.sd_distance,
+        d=config.d,
         trials=trials,
         success_rate=success_rate,
         success_ci_halfwidth=_success_halfwidth(successes, trials),
@@ -263,6 +261,8 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CellResult]:
     workers = min(workers, _usable_cpus(), len(units))
     parts = [[] for _ in cells]
     results = [None] * len(cells)
+    if workers > 1:  # lazy: the pool's imports cost a CLI start that never uses them
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         outputs = (pool.map(_run_unit, *args, chunksize=max(1, len(units) // (8 * workers)))
                    if pool else map(_run_unit, *args))
@@ -279,6 +279,6 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[CellResult]:
 def run_cell(config: ScenarioConfig, trials: int = DEFAULT_TRIALS,
              workers: int = 1) -> CellResult:
     """Monte Carlo estimate of one cell: the one-cell case of run_sweep."""
-    spec = SweepSpec(base=config, theta_deg_values=(config.theta_deg,),
-                     n_values=(config.n_nodes,), d_values=(config.sd_distance,), trials=trials)
+    spec = SweepSpec(base=config, theta_deg=(config.theta_deg,), n_nodes=(config.n_nodes,),
+                     d=(config.d,), trials=trials)
     return run_sweep(spec, workers)[0]

@@ -30,13 +30,12 @@ def _leaf_polygon(scenario: Scenario) -> list[tuple[float, float]] | None:
     """Leaf outline in field coordinates, or None when there is no chain."""
     cfg = scenario.config
     try:
-        upper = leafmodel.build_leaf(cfg.sd_distance, cfg.radius, cfg.theta).vertices
+        upper = leafmodel.build_leaf(cfg.d, cfg.radius, cfg.theta).vertices
     except ValueError:
         return None
     src, dst = scenario.source, scenario.destination
-    d = cfg.sd_distance
-    ux, uy = (src.x - dst.x) / d, (src.y - dst.y) / d  # local +x axis
-    vx, vy = -uy, ux                                   # local +y axis
+    ux, uy = (src.x - dst.x) / cfg.d, (src.y - dst.y) / cfg.d  # local +x axis
+    vx, vy = -uy, ux                                           # local +y axis
     def to_field(p):
         return (dst.x + p[0] * ux + p[1] * vx, dst.y + p[0] * uy + p[1] * vy)
     outline = [to_field(p) for p in upper]
@@ -55,7 +54,7 @@ def render_svg(scenario: Scenario, outcome: BroadcastOutcome) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{size:.2f}" height="{size:.2f}" viewBox="0 0 {size:.2f} {size:.2f}">',
         f'<!-- N={len(scenario.nodes)} r={cfg.radius:g} m '
-        f'theta={cfg.theta_deg:g} deg d={cfg.sd_distance:g} m '
+        f'theta={cfg.theta_deg:g} deg d={cfg.d:g} m '
         f'seed={cfg.seed} success={outcome.success} -->',
     ]
 

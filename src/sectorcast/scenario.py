@@ -50,13 +50,15 @@ class ScenarioConfig:
 
     Angles are degrees, as entered; the theta and direction_error_bound
     properties give them in radians, the library's only unit conversion.
+    The field names are the config-file keys, and each default's type is its
+    key's parse type (configio reads both), so a renamed field renames a key.
     """
 
     square_side: float = DEFAULT_SQUARE_SIDE
     n_nodes: int = 2000
     radius: float = DEFAULT_RADIUS
     theta_deg: float = 90.0
-    sd_distance: float = 1000.0
+    d: float = 1000.0
     seed: int = 0
     placement: Placement = Placement.FIXED_COUNT
     direction_error_deg: float = 0.0
@@ -73,29 +75,30 @@ class ScenarioConfig:
         if not MIN_SQUARE_SIDE <= self.square_side <= MAX_SQUARE_SIDE:
             raise ConfigError(f"square_side must be in [{MIN_SQUARE_SIDE:g}, "
                               f"{MAX_SQUARE_SIDE:g}] m, got {self.square_side}")
-        if not 0 <= self.n_nodes <= MAX_NODES:
-            raise ConfigError(f"n_nodes must be in [0, {MAX_NODES}], got {self.n_nodes}")
+        if not (isinstance(self.n_nodes, (int, np.integer)) and 0 <= self.n_nodes <= MAX_NODES):
+            raise ConfigError(f"n_nodes must be in [0, {MAX_NODES}] and an integer, "
+                              f"got {self.n_nodes}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ConfigError(f"radius must be positive, got {self.radius}")
         if not 0.0 < self.theta <= 2.0 * math.pi:
             raise ConfigError(f"theta_deg must be in (0, 360], got {self.theta_deg}")
-        if not 0.0 <= self.sd_distance <= self.square_side:
-            raise ConfigError(
-                f"sd_distance must be in [0, square_side], got {self.sd_distance} "
-                f"with square_side {self.square_side}"
-            )
-        source_x, dest_x = _endpoint_xs(self.square_side, self.sd_distance)
-        if self.sd_distance > 0.0 and source_x == dest_x:
-            raise ConfigError(f"sd_distance {self.sd_distance} is too small for square_side "
+        if not 0.0 <= self.d <= self.square_side:
+            raise ConfigError(f"d must be in [0, square_side], got {self.d} "
+                              f"with square_side {self.square_side}")
+        source_x, dest_x = _endpoint_xs(self.square_side, self.d)
+        if self.d > 0.0 and source_x == dest_x:
+            raise ConfigError(f"d {self.d} is too small for square_side "
                               f"{self.square_side}: both endpoints round to one point")
-        if not 0 <= self.seed < _MAX_SEED:
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < _MAX_SEED):
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not 0.0 <= self.direction_error_bound <= math.pi:
             raise ConfigError(
                 f"direction_error_deg must be in [0, 180], got {self.direction_error_deg}")
         # valid integer lengths and degrees are stored, and print, as floats
-        for name in ("square_side", "radius", "theta_deg", "sd_distance", "direction_error_deg"):
+        for name in ("square_side", "radius", "theta_deg", "d", "direction_error_deg"):
             object.__setattr__(self, name, float(getattr(self, name)))
+        for name in ("n_nodes", "seed"):  # numpy integers are stored as ints
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ def _endpoint_xs(side: float, d: float) -> tuple[float, float]:
 def endpoint_positions(config: ScenarioConfig) -> tuple[Point2D, Point2D]:
     """Source and destination on the midline, centered around the field middle."""
     y = config.square_side / 2.0
-    source_x, dest_x = _endpoint_xs(config.square_side, config.sd_distance)
+    source_x, dest_x = _endpoint_xs(config.square_side, config.d)
     return Point2D(source_x, y), Point2D(dest_x, y)
 
 

@@ -55,7 +55,7 @@ def grid():
     base = ScenarioConfig(square_side=SIDE, radius=RADIUS, seed=SEED)
     results = {}
     for thetas, ns, ds in GRID_SWEEPS:
-        spec = SweepSpec(base=base, theta_deg_values=thetas, n_values=ns, d_values=ds,
+        spec = SweepSpec(base=base, theta_deg=thetas, n_nodes=ns, d=ds,
                          trials=TRIALS)
         # run_sweep orders its cells by (d, n, theta)
         keys = [(t, n, d) for d in sorted(ds) for n in sorted(ns) for t in sorted(thetas)]
@@ -121,7 +121,7 @@ def test_criterion_4_bandwidth_gain_identity(grid, tmp_path):
         worst = max(worst, abs(cell.bandwidth_gain - expect) / expect)
     # the identity must also hold for emitted CSV rows after parse-back
     some = list(grid.values())[:4]
-    spec = SweepSpec(ScenarioConfig(square_side=SIDE, radius=RADIUS, sd_distance=1000.0,
+    spec = SweepSpec(ScenarioConfig(square_side=SIDE, radius=RADIUS, d=1000.0,
                                     seed=SEED))
     path = tmp_path / "rows.csv"
     path.write_text(configio.results_csv_text(some, spec))
@@ -170,7 +170,7 @@ def test_criterion_6_engine_matches_brute_force():
             n_nodes=int(rng.integers(0, 51)),
             radius=float(rng.uniform(100, 400)),
             theta_deg=float(rng.uniform(10, 360)),
-            sd_distance=float(rng.uniform(100, 1500)),
+            d=float(rng.uniform(100, 1500)),
             seed=int(rng.integers(0, 2**63)),
             direction_error_deg=float(rng.choice([0.0, 0.0, 11.459155902616464])),
         )

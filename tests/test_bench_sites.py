@@ -58,11 +58,13 @@ def test_setup_snippet_loads_sample_cfg_in_a_fresh_interpreter():
     out = run.stdout.split()
     assert len(out) == 1
     assert float(out[0]) > 0.0
-    # setup_s times this snippet: it must not pay for scipy's import
+    # setup_s times this snippet: it must not pay for the imports of scipy or
+    # of the process pool, which only a sweep over several workers uses
     imported = [line.split("|")[-1].strip() for line in run.stderr.splitlines()
                 if line.startswith("import time:")]
     assert "sectorcast.configio" in imported
-    assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+    assert [name for name in imported
+            if name.split(".")[0] in ("scipy", "multiprocessing")] == []
 
 
 SMALL_CFG = """\

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -53,12 +54,12 @@ def test_parse_config_text_roundtrip():
     assert cfg.square_side == 1500.0
     assert cfg.n_nodes == 100
     assert cfg.theta_deg == 90.0
-    assert cfg.sd_distance == 600.0
+    assert cfg.d == 600.0
     assert cfg.placement is Placement.FIXED_COUNT
     spec = configio.to_sweep_spec(cfg, sweep)
     assert spec.trials == 3
-    assert spec.n_values == (60, 100)
-    assert spec.theta_deg_values == (45.0, 90.0)
+    assert spec.n_nodes == (60, 100)
+    assert spec.theta_deg == (45.0, 90.0)
 
 
 def test_config_record_and_echo_read_back_to_the_same_config():
@@ -165,15 +166,14 @@ def test_simulate_one_hop_delivery(tmp_path, capsys):
 
 
 def test_simulate_config_error_exit_code(tmp_path, config_file, capsys):
-    # the message names the library field in degrees; the keys as typed follow
+    # the message names the key as typed, and angles in degrees
     for typed in ("theta_deg=400", "d=9999", "direction_error_deg=200"):
         code = run_cli("simulate", "--config", config_file,
                        "--set", typed, "--out", str(tmp_path / "x.json"))
         assert code == 2
         err = capsys.readouterr().err
         assert "config error" in err
-        key, text = typed.split("=")
-        assert f"({key} = {text})" in err
+        key = typed.split("=")[0]
         if key.endswith("_deg"):
             assert f"{key} must be in" in err and "radians" not in err and "pi]" not in err
     # a sweep cell's angle is reported in degrees too
@@ -183,6 +183,21 @@ def test_simulate_config_error_exit_code(tmp_path, config_file, capsys):
     err = capsys.readouterr().err
     assert "theta_deg" in err and "400" in err
     assert "radians" not in err and "2*pi" not in err
+
+
+@pytest.mark.parametrize("typed", [
+    "square_side=0", "n_nodes=-1", "n_nodes=1.5", "radius=-5", "theta_deg=400", "d=9999",
+    "d=1e-17", "seed=-3", "placement=random", "direction_error_deg=200",
+    "sweep.theta_deg=400", "sweep.n_nodes=x", "sweep.d=9999", "sweep.trials=0",
+])
+def test_config_errors_name_the_typed_key(tmp_path, config_file, capsys, typed):
+    key, value = typed.removeprefix("sweep.").split("=")
+    command = "sweep" if typed.startswith("sweep.") else "simulate"
+    assert run_cli(command, "--config", config_file, "--set", typed,
+                   "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert re.search(rf"\b{key} (must|{re.escape(value)}\b)", err), err
+    assert "_distance" not in err  # the old field name for d
 
 
 def test_simulate_smallest_placeable_distance_delivers_in_one_hop(tmp_path):
@@ -234,14 +249,14 @@ def test_oversized_sweeps_exit_2_before_the_sweep(tmp_path, monkeypatch, capsys)
     SweepSpec(ScenarioConfig(), trials=MAX_TRIALS)
     assert len(DEFAULT_THETA_GRID_DEG) * per_theta * MAX_TRIALS <= MAX_CELL_TRIALS
     thetas = MAX_CELL_TRIALS // (per_theta * MAX_TRIALS) + 1
-    n_values = MAX_CELLS // per_n + 1
+    ns = MAX_CELLS // per_n + 1
     bounds = f"passes MAX_CELLS = {MAX_CELLS} or MAX_CELL_TRIALS = {MAX_CELL_TRIALS}"
     for argv, message in (
         (["sweep", "--set", f"sweep.theta_deg={', '.join(str(k + 1.0) for k in range(thetas))}",
           "--set", f"sweep.trials={MAX_TRIALS}"],
          f"a sweep of {thetas * per_theta} cells x {MAX_TRIALS} trials {bounds}"),
-        (["compare", "--set", f"sweep.n_nodes={', '.join(map(str, range(n_values)))}",
-          "--set", "sweep.trials=1"], f"a sweep of {n_values * per_n} cells x 1 trials {bounds}"),
+        (["compare", "--set", f"sweep.n_nodes={', '.join(map(str, range(ns)))}",
+          "--set", "sweep.trials=1"], f"a sweep of {ns * per_n} cells x 1 trials {bounds}"),
     ):
         out = tmp_path / "out.csv"
         assert run_cli(*argv, "--out", str(out)) == 2
@@ -363,8 +378,8 @@ def test_sweep_csv_matches_library_results(tmp_path, config_file):
     # a library caller's integer degrees and lengths write the CLI's bytes:
     # 90.0 and 1500.0, not 90 and 1500
     whole = SweepSpec(replace(cfg, theta_deg=90, direction_error_deg=0, square_side=1500,
-                              radius=200, sd_distance=600),
-                      theta_deg_values=(45, 90), n_values=spec.n_values, d_values=(600,),
+                              radius=200, d=600),
+                      theta_deg=(45, 90), n_nodes=spec.n_nodes, d=(600,),
                       trials=spec.trials)
     assert configio.results_csv_text(run_sweep(whole), whole) == text
 
@@ -373,23 +388,23 @@ def test_library_integer_lengths_write_the_cli_record(tmp_path, config_file):
     out = tmp_path / "sim.json"
     assert run_cli("simulate", "--config", config_file, "--out", str(out)) == 0
     whole = ScenarioConfig(square_side=1500, n_nodes=100, radius=200, theta_deg=90,
-                           sd_distance=600, seed=11)
+                           d=600, seed=11)
     assert (json.dumps(configio.config_record(whole), sort_keys=True)
             == json.dumps(json.loads(out.read_text())["config"], sort_keys=True))
 
 
-@pytest.mark.parametrize("command, n_values, tail", [
+@pytest.mark.parametrize("command, ns, tail", [
     ("sweep", "60, 300", "4 model-eligible cells: 3.9895 "
                          "(theta 90 deg, N 60, d 600 m, success rate 0)"),
     ("compare", "300", "2 model-eligible cells: 0.4549 "
                        "(theta 45 deg, N 300, d 600 m, success rate 0.666667)"),
 ])
-def test_summary_names_the_worst_model_cell(tmp_path, config_file, capsys, command, n_values,
+def test_summary_names_the_worst_model_cell(tmp_path, config_file, capsys, command, ns,
                                             tail):
     # the largest |model relative error| comes with its cell and that cell's
     # success rate, since a cell with no success does not test the model
     out = tmp_path / "worst.csv"
-    assert run_cli(command, "--config", config_file, "--set", f"sweep.n_nodes={n_values}",
+    assert run_cli(command, "--config", config_file, "--set", f"sweep.n_nodes={ns}",
                    "--out", str(out)) == 0
     rows = [r for r in read_results_csv(str(out)) if r["model_relative_error"] is not None]
     worst = max(rows, key=lambda r: abs(r["model_relative_error"]))

@@ -36,7 +36,7 @@ def make_scenario(nodes, source, destination, *, side=4000.0, radius=200.0,
     nodes = np.asarray(nodes, dtype=float).reshape(-1, 2)
     d = math.hypot(destination[0] - source[0], destination[1] - source[1])
     cfg = ScenarioConfig(square_side=side, n_nodes=len(nodes), radius=radius,
-                         theta_deg=theta_deg, sd_distance=min(d, side),
+                         theta_deg=theta_deg, d=min(d, side),
                          seed=0, direction_error_deg=eps_deg)
     return Scenario(nodes=nodes, source=Point2D(*source),
                     destination=Point2D(*destination), config=cfg)
@@ -48,7 +48,7 @@ def random_scenario(rng, n_max=50, side=1500.0):
         n_nodes=int(rng.integers(0, n_max + 1)),
         radius=float(rng.uniform(100, 400)),
         theta_deg=float(rng.uniform(10, 360)),
-        sd_distance=float(rng.uniform(0.1 * side, side)),
+        d=float(rng.uniform(0.1 * side, side)),
         seed=int(rng.integers(0, 2**63)),
         direction_error_deg=float(rng.choice([0.0, 17.188733853924695])),
     )
@@ -197,7 +197,7 @@ def shared_field(cfg, thetas_deg, distances, nodes=None):
     out = []
     for d in distances:
         for theta_deg in thetas_deg:
-            cell = replace(cfg, theta_deg=theta_deg, sd_distance=d)
+            cell = replace(cfg, theta_deg=theta_deg, d=d)
             out.append(Scenario(nodes, *endpoint_positions(cell), cell))
     return out
 
@@ -259,7 +259,7 @@ def test_floods_nest_in_n_at_oracle_free_sizes(eps_deg):
         for theta_deg in (45.0, 90.0, 135.0):
             for d in (1000.0, 2000.0):
                 for m in sizes:
-                    cell = replace(cfg, n_nodes=m, theta_deg=theta_deg, sd_distance=d)
+                    cell = replace(cfg, n_nodes=m, theta_deg=theta_deg, d=d)
                     scenarios.append(Scenario(nodes[:m], *endpoint_positions(cell), cell))
     batch = flood_each(scenarios)
     floods = [batch.outcome(b) for b in range(len(scenarios))]
@@ -291,7 +291,7 @@ def test_implicated_nodes_stay_within_the_disc_bound(eps_deg):
         batch = flood_each(scenarios)
         for b, s in enumerate(scenarios):
             ids = sorted(batch.outcome(b).implicated - {SOURCE_ID})
-            bound = max(s.config.sd_distance, s.config.radius)
+            bound = max(s.config.d, s.config.radius)
             far = np.hypot(*(s.nodes[ids] - (s.destination.x, s.destination.y)).T)
             ratio = far.max(initial=0.0) / bound
             assert ratio <= 1.0 + 1e-9, (seed, b, ratio)
@@ -372,7 +372,7 @@ def test_batch_matches_brute_force_at_box_switch_points():
     # disc), aim errors 0 and pi, floods of mixed theta and d batched over
     # shared fields
     thetas_deg = (math.degrees(1e-6), 90.0, 180.0, 270.0, 359.9, 360.0)
-    base = ScenarioConfig(square_side=800.0, radius=220.0, sd_distance=120.0)
+    base = ScenarioConfig(square_side=800.0, radius=220.0, d=120.0)
     delivered = set()
     for eps_deg in (0.0, 180.0):
         for placement in (Placement.FIXED_COUNT, Placement.POISSON_COUNT):
@@ -400,7 +400,7 @@ def test_outcomes_do_not_depend_on_round_chunk(monkeypatch, chunk):
     # wherever the cuts fall, floods over shared fields, row-prefix views of
     # them and aimed with errors must stay the oracle's
     monkeypatch.setattr(engine, "ROUND_CHUNK", chunk)
-    base = ScenarioConfig(square_side=700.0, radius=180.0, sd_distance=150.0)
+    base = ScenarioConfig(square_side=700.0, radius=180.0, d=150.0)
     delivered = set()
     for eps_deg in (0.0, 10.0):
         scenarios = []
@@ -409,7 +409,7 @@ def test_outcomes_do_not_depend_on_round_chunk(monkeypatch, chunk):
             scenarios += shared_field(cfg, (45.0, 135.0, 360.0), (150.0, 600.0))
             nodes = scenarios[-1].nodes
             for n in (0, 25):  # a view of the first n rows shares the field's group
-                cell = replace(cfg, n_nodes=n, theta_deg=120.0, sd_distance=500.0)
+                cell = replace(cfg, n_nodes=n, theta_deg=120.0, d=500.0)
                 scenarios.append(Scenario(nodes[:n], *endpoint_positions(cell), cell))
         batch = flood_each(scenarios)
         for b, scenario in enumerate(scenarios):
@@ -888,7 +888,7 @@ def test_batch_slots_follow_the_index_order():
     # must map them back to node ids for fields of any size, an empty one,
     # and floods that share a field
     base = ScenarioConfig(square_side=900.0, radius=180.0, theta_deg=100.0,
-                          sd_distance=500.0)
+                          d=500.0)
     fields = [generate(replace(base, n_nodes=n, seed=20 + n)).nodes for n in (150, 0, 40, 300)]
     scenarios = []
     for k, nodes in enumerate(fields):
@@ -913,12 +913,12 @@ def test_batch_slots_follow_the_index_order():
 def test_leaf_confinement_inflated_by_radius():
     # implicated nodes stay within the chain polygon fattened by one radius
     cfg = ScenarioConfig(square_side=4000.0, n_nodes=3000, radius=200.0,
-                         theta_deg=90.0, sd_distance=1000.0, seed=77)
+                         theta_deg=90.0, d=1000.0, seed=77)
     scenario = generate(cfg)
     out = propagate(scenario)
-    verts = build_leaf(cfg.sd_distance, cfg.radius, cfg.theta).vertices
+    verts = build_leaf(cfg.d, cfg.radius, cfg.theta).vertices
     src, dst = scenario.source, scenario.destination
-    ux, uy = (src.x - dst.x) / cfg.sd_distance, (src.y - dst.y) / cfg.sd_distance
+    ux, uy = (src.x - dst.x) / cfg.d, (src.y - dst.y) / cfg.d
     vx, vy = -uy, ux
     poly = [(dst.x + px * ux + py * vx, dst.y + px * uy + py * vy)
             for px, py in verts]
@@ -1023,11 +1023,27 @@ def test_flood_fields_rejects_node_counts_outside_the_field():
     assert len(alone.implicated) > 1
 
 
+def test_flood_fields_rejects_per_flood_lengths_that_differ():
+    # every per-flood argument holds one entry a flood and field_of indexes
+    # fields: a short n_nodes would flood and then fail in outcome(1), an
+    # extra theta would go unread, and field_of -1 would flood the last field
+    nodes = generate(ScenarioConfig(square_side=1500.0, radius=250.0, n_nodes=90, seed=3)).nodes
+    ends = np.tile([[100.0], [750.0], [1400.0], [750.0]], 2)
+    good = dict(field_of=[0, 0], n_nodes=[90, 90], theta=[1.0, 1.0], ends=ends)
+    for bad in (dict(n_nodes=[90]), dict(theta=[1.0, 1.0, 1.0]), dict(field_of=[0]),
+                dict(ends=ends[:, :1]), dict(ends=ends[:3]), dict(field_of=[0, 1]),
+                dict(field_of=[0, -1]),
+                dict(field_of=[], n_nodes=[], theta=[], ends=np.zeros((4, 0)))):
+        with pytest.raises(ValueError, match="field_of"):
+            engine.flood_fields([nodes], radius=250.0, **{**good, **bad})
+    engine.flood_fields([nodes], radius=250.0, **good)
+
+
 def test_coincident_endpoints_deliver_only_through_relays():
     # at d = 0 the source cannot cover its own position (q = 0 fails the
     # sector test), so no flood delivers at hop 1; a relay aims back at that
     # position and can deliver it from hop 2 on
-    base = ScenarioConfig(sd_distance=0.0)  # the default 4000 m field of 2000 nodes
+    base = ScenarioConfig(d=0.0)  # the default 4000 m field of 2000 nodes
     hops = [propagate(generate(replace(base, seed=seed, theta_deg=theta_deg))).first_delivery_hop
             for seed in range(4) for theta_deg in (22.5, 90.0, 360.0)]
     assert 1 not in hops
@@ -1035,12 +1051,12 @@ def test_coincident_endpoints_deliver_only_through_relays():
 
 
 def test_coincident_endpoints_fail_gracefully():
-    # sd_distance 0 puts the destination on top of the source; the apex
+    # d = 0 puts the destination on top of the source; the apex
     # exclusion keeps the source from covering it, the source's sector holds
     # no node of this sparse field to relay back to it, and the flood must
     # still terminate
     cfg = ScenarioConfig(square_side=1000.0, n_nodes=20, radius=200.0,
-                         theta_deg=90.0, sd_distance=0.0, seed=3)
+                         theta_deg=90.0, d=0.0, seed=3)
     out = propagate(generate(cfg))
     assert not out.success
     assert out.rounds >= 1
@@ -1053,7 +1069,7 @@ def test_floods_at_the_field_side_bounds_match_a_1000_m_field(side):
     def flood(side):
         k = side / 1000.0
         return propagate(generate(ScenarioConfig(square_side=side, n_nodes=300, radius=200.0 * k,
-                                                 theta_deg=90.0, sd_distance=500.0 * k,
+                                                 theta_deg=90.0, d=500.0 * k,
                                                  seed=3)))
     want = flood(1000.0)
     assert want.success and len(want.implicated) == 64

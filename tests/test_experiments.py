@@ -1,5 +1,6 @@
 """Monte Carlo cells and sweeps: aggregation, identities, fits."""
 
+import concurrent.futures
 import math
 import os
 import subprocess
@@ -24,7 +25,7 @@ from sectorcast.scenario import ConfigError, Placement, ScenarioConfig, derive_s
 
 def small_config(**kw):
     defaults = dict(square_side=1500.0, n_nodes=120, radius=200.0,
-                    theta_deg=90.0, sd_distance=600.0, seed=5)
+                    theta_deg=90.0, d=600.0, seed=5)
     defaults.update(kw)
     return ScenarioConfig(**defaults)
 
@@ -72,7 +73,7 @@ def test_run_cell_is_deterministic():
 
 def test_run_cell_single_source_degenerate_field():
     # no nodes, unreachable destination: every flood is just the source
-    cfg = small_config(n_nodes=0, sd_distance=600.0)
+    cfg = small_config(n_nodes=0, d=600.0)
     res = run_cell(cfg, trials=1)
     assert res.success_rate == 0.0
     assert res.implicated_ratio_mean == 1.0  # 1 transmitter / (0 + 1) nodes
@@ -81,7 +82,7 @@ def test_run_cell_single_source_degenerate_field():
 
 def test_run_cell_omnidirectional_full_range_always_succeeds():
     cfg = small_config(square_side=1000.0, n_nodes=30, radius=1500.0,
-                       theta_deg=360.0, sd_distance=800.0)
+                       theta_deg=360.0, d=800.0)
     res = run_cell(cfg, trials=20)
     assert res.success_rate == 1.0
     assert res.mean_hops_on_success == 1.0
@@ -115,7 +116,7 @@ def test_success_ci_halfwidth_regimes():
     assert res.success_rate == 0.0
     assert 0.0 < res.success_ci_halfwidth < 0.1
     sure = small_config(square_side=1000.0, radius=1500.0, theta_deg=360.0,
-                        sd_distance=500.0, n_nodes=3)
+                        d=500.0, n_nodes=3)
     res2 = run_cell(sure, trials=40)  # always succeeds: exact at k = n
     assert res2.success_rate == 1.0
     assert 0.0 < res2.success_ci_halfwidth < 0.1
@@ -149,7 +150,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
 
 def test_model_fields_absent_when_degenerate_or_flagged():
-    direct = run_cell(small_config(sd_distance=150.0), trials=2)
+    direct = run_cell(small_config(d=150.0), trials=2)
     assert direct.model_ratio is None
     assert direct.model_relative_error is None
     flagged = run_cell(small_config(theta_deg=135.0), trials=2)
@@ -174,42 +175,42 @@ def test_run_cell_rejects_bad_trials():
 
 def test_run_sweep_single_cell_equals_run_cell():
     cfg = small_config()
-    spec = SweepSpec(base=cfg, theta_deg_values=(cfg.theta_deg,), n_values=(cfg.n_nodes,),
-                     d_values=(cfg.sd_distance,), trials=8)
+    spec = SweepSpec(base=cfg, theta_deg=(cfg.theta_deg,), n_nodes=(cfg.n_nodes,),
+                     d=(cfg.d,), trials=8)
     assert run_sweep(spec) == [run_cell(cfg, trials=8)]
 
 
 def test_run_sweep_order_and_cross_product():
     spec = SweepSpec(
         base=small_config(),
-        theta_deg_values=(90.0, 45.0),
-        n_values=(80, 40),
-        d_values=(600.0, 400.0),
+        theta_deg=(90.0, 45.0),
+        n_nodes=(80, 40),
+        d=(600.0, 400.0),
         trials=2,
     )
     results = run_sweep(spec)
     assert len(results) == 8
-    keys = [(r.sd_distance, r.n_nodes, r.theta_deg) for r in results]
+    keys = [(r.d, r.n_nodes, r.theta_deg) for r in results]
     assert keys == sorted(keys)
     assert all(r.bandwidth_gain < r.implicated_ratio_mean for r in results)
     # list order in the spec does not matter
     spec_shuffled = replace(
         spec,
-        theta_deg_values=tuple(reversed(spec.theta_deg_values)),
-        n_values=tuple(reversed(spec.n_values)),
-        d_values=tuple(reversed(spec.d_values)),
+        theta_deg=tuple(reversed(spec.theta_deg)),
+        n_nodes=tuple(reversed(spec.n_nodes)),
+        d=tuple(reversed(spec.d)),
     )
     assert same_cells(run_sweep(spec_shuffled), results)
 
 
 def test_run_sweep_names_invalid_cell():
-    spec = SweepSpec(base=small_config(), d_values=(600.0, 5000.0), trials=1,
-                     theta_deg_values=(90.0,), n_values=(10,))
+    spec = SweepSpec(base=small_config(), d=(600.0, 5000.0), trials=1,
+                     theta_deg=(90.0,), n_nodes=(10,))
     with pytest.raises(ConfigError, match="d=5000"):
         run_sweep(spec)
 
 
-@pytest.mark.parametrize("field", ["theta_deg_values", "n_values", "d_values"])
+@pytest.mark.parametrize("field", ["theta_deg", "n_nodes", "d"])
 def test_sweep_spec_rejects_an_empty_list(field):
     with pytest.raises(ConfigError, match="sweep value lists must be non-empty"):
         SweepSpec(base=small_config(), **{field: ()})
@@ -217,7 +218,7 @@ def test_sweep_spec_rejects_an_empty_list(field):
 
 def test_sweep_default_grid_shape():
     spec = SweepSpec(base=small_config())
-    assert len(spec.theta_deg_values) * len(spec.n_values) * len(spec.d_values) == 54
+    assert len(spec.theta_deg) * len(spec.n_nodes) * len(spec.d) == 54
 
 
 def test_workers_match_serial(monkeypatch):
@@ -249,8 +250,8 @@ def test_batches_match_per_trial_propagate(monkeypatch, workers):
     # N 30 cells of a d hold 62 slots a trial and a third, at N 60, would
     # allocate 183
     spec = SweepSpec(base=replace(base, radius=650.0),
-                     theta_deg_values=(45.0, 360.0),
-                     n_values=(30, 60), d_values=(600.0, 800.0), trials=5)
+                     theta_deg=(45.0, 360.0),
+                     n_nodes=(30, 60), d=(600.0, 800.0), trials=5)
     cells = spec.cells()
     units = experiments._units(cells, 5)
     assert [chunk for chunk, _, _ in units] == ([[0, 1]] * 3 + [[2, 3]] * 5
@@ -267,8 +268,8 @@ def test_mixed_n_sweeps_match_per_cell_trials(monkeypatch, workers):
     # N 0, 25 and 60 cells, packed by a small budget into chunks that mix N,
     # must give each cell's own per-trial rows
     monkeypatch.setattr(experiments, "BATCH_ROWS", 150)
-    spec = SweepSpec(base=small_config(seed=3), theta_deg_values=(45.0, 360.0),
-                     n_values=(0, 25, 60), d_values=(600.0, 800.0), trials=4)
+    spec = SweepSpec(base=small_config(seed=3), theta_deg=(45.0, 360.0),
+                     n_nodes=(0, 25, 60), d=(600.0, 800.0), trials=4)
     cells = spec.cells()
     units = experiments._units(cells, 4)
     assert [chunk for chunk, _, _ in units] == ([[0, 1, 2, 3]] * 4 + [[4, 5]] * 4
@@ -278,7 +279,7 @@ def test_mixed_n_sweeps_match_per_cell_trials(monkeypatch, workers):
     # Poisson fields are drawn per N: trial 0's field at N 30 is no prefix
     # of the one at N 60 (test_scenario.py)
     spec = replace(spec, base=replace(spec.base, placement=Placement.POISSON_COUNT),
-                   n_values=(30, 60))
+                   n_nodes=(30, 60))
     cells = spec.cells()
     assert {tuple(cells[pos].n_nodes for pos in chunk)
             for chunk, _, _ in experiments._units(cells, 4)} == {(30,) * 4, (60,) * 2}
@@ -307,8 +308,8 @@ def test_sweeps_draw_each_field_once(monkeypatch, placement, fields):
     monkeypatch.setattr(experiments, "derive_seed", derive_seed)
     monkeypatch.setattr(experiments, "generate", generate)
     spec = SweepSpec(base=small_config(placement=placement),
-                     theta_deg_values=(45.0, 90.0),
-                     n_values=(20, 40, 60), d_values=(600.0, 800.0), trials=6)
+                     theta_deg=(45.0, 90.0),
+                     n_nodes=(20, 40, 60), d=(600.0, 800.0), trials=6)
     run_sweep(spec)
     assert sorted(seeds) == sorted(list(range(6)) * len(fields))
     assert sorted(sizes) == sorted(fields * 6)
@@ -335,7 +336,7 @@ def recording_pool(monkeypatch, run=None):
             record.units.extend(units)
             return (run(fn, *unit) if run else fn(*unit) for unit in units)
 
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     return record
 
 
@@ -351,16 +352,16 @@ def test_workers_clamped_to_cpus_and_trials(monkeypatch):
     # trial's field is flooded by chunks of 2 cells, one trial a unit
     pool.started.clear()
     pool.units.clear()
-    spec = SweepSpec(base=cfg, theta_deg_values=(45.0, 90.0),
-                     n_values=(40,), d_values=(400.0, 600.0), trials=2)
+    spec = SweepSpec(base=cfg, theta_deg=(45.0, 90.0),
+                     n_nodes=(40,), d=(400.0, 600.0), trials=2)
     assert same_cells(run_sweep(spec, workers=5000), run_sweep(spec))
     assert pool.started == [4]
     cells = spec.cells()
-    assert [([c.sd_distance for c in configs], first, stop) for configs, first, stop
+    assert [([c.d for c in configs], first, stop) for configs, first, stop
             in pool.units] == [([400.0, 400.0], 0, 1), ([400.0, 400.0], 1, 2),
                                ([600.0, 600.0], 0, 1), ([600.0, 600.0], 1, 2)]
     assert [list(configs) for configs, _, _ in pool.units[::2]] == [cells[:2], cells[2:]]
-    run_sweep(replace(spec, d_values=(600.0,)), workers=5000)
+    run_sweep(replace(spec, d=(600.0,)), workers=5000)
     assert pool.started == [4, 2]
 
 
@@ -370,8 +371,8 @@ def test_sweep_summarises_each_chunk_as_its_last_unit_arrives(monkeypatch, worke
     # one-trial units.  A chunk's cells are summarised as its last unit
     # arrives, before the next chunk's first unit runs, and the results
     # are those of one chunk of all cells
-    spec = SweepSpec(base=small_config(n_nodes=60, seed=7), theta_deg_values=(45.0, 90.0, 135.0),
-                     n_values=(60,), d_values=(600.0, 800.0), trials=3)
+    spec = SweepSpec(base=small_config(n_nodes=60, seed=7), theta_deg=(45.0, 90.0, 135.0),
+                     n_nodes=(60,), d=(600.0, 800.0), trials=3)
     want = run_sweep(spec)
     assert len(experiments._units(spec.cells(), spec.trials)) == 1
     monkeypatch.setattr(experiments, "BATCH_ROWS", 150)
@@ -414,8 +415,8 @@ def test_units_fit_slot_budget(monkeypatch):
     pool = recording_pool(monkeypatch, no_flood)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     spec = SweepSpec(base=small_config(square_side=4000.0),
-                     theta_deg_values=tuple(3.0 * k for k in range(1, 61)),
-                     n_values=(3000,), d_values=(1000.0, 2000.0, 3000.0), trials=7)
+                     theta_deg=tuple(3.0 * k for k in range(1, 61)),
+                     n_nodes=(3000,), d=(1000.0, 2000.0, 3000.0), trials=7)
     results = run_sweep(spec, workers=2)
     assert len(results) == 180 and all(r.trials == 7 for r in results)
     assert [len(configs) for configs, _, _ in pool.units] == [174] * 7 + [6]
@@ -423,7 +424,7 @@ def test_units_fit_slot_budget(monkeypatch):
     for configs, first, stop in pool.units:
         assert allocated_slots(configs, first, stop) <= experiments.BATCH_ROWS
         for cfg in configs:
-            seen.setdefault((cfg.theta_deg, cfg.sd_distance), []).extend(range(first, stop))
+            seen.setdefault((cfg.theta_deg, cfg.d), []).extend(range(first, stop))
     assert len(seen) == 180 and all(trials == list(range(7)) for trials in seen.values())
 
 
@@ -447,8 +448,8 @@ def test_units_index_one_field_a_trial_within_the_slot_budget(monkeypatch):
 
     monkeypatch.setattr(engine, "build_index", counting_index)
     monkeypatch.setattr(experiments, "flood_fields", counting_flood)
-    spec = SweepSpec(base=small_config(seed=3), theta_deg_values=(45.0, 360.0),
-                     n_values=(0, 25, 60), d_values=(600.0, 800.0), trials=4)
+    spec = SweepSpec(base=small_config(seed=3), theta_deg=(45.0, 360.0),
+                     n_nodes=(0, 25, 60), d=(600.0, 800.0), trials=4)
     run_sweep(spec)
     units = experiments._units(spec.cells(), spec.trials)
     assert len(fields) == len(slots) == len(units)
@@ -470,8 +471,8 @@ def test_a_unit_copies_its_config_once_a_trial(monkeypatch, placement, eps_deg):
         post_init(self)
 
     spec = SweepSpec(base=small_config(placement=placement, direction_error_deg=eps_deg),
-                     theta_deg_values=(45.0, 360.0), n_values=(60, 120),
-                     d_values=(600.0, 800.0), trials=5)
+                     theta_deg=(45.0, 360.0), n_nodes=(60, 120),
+                     d=(600.0, 800.0), trials=5)
     cells = spec.cells()
     if placement is Placement.POISSON_COUNT:  # Poisson cells share a field only at one N
         cells = [cfg for cfg in cells if cfg.n_nodes == 120]
@@ -503,8 +504,8 @@ def test_units_bound_allocated_slots_for_any_n_list(monkeypatch):
     pool = recording_pool(monkeypatch, no_flood)
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     spec = SweepSpec(base=small_config(square_side=4000.0),
-                     theta_deg_values=tuple(4.5 * k for k in range(1, 41)),
-                     n_values=(0, 20_000), d_values=(1000.0,), trials=3)
+                     theta_deg=tuple(4.5 * k for k in range(1, 41)),
+                     n_nodes=(0, 20_000), d=(1000.0,), trials=3)
     assert len(run_sweep(spec, workers=2)) == 80
     assert [(len(configs), first, stop) for configs, first, stop in pool.units] == (
         [(40, 0, 3)] + [(26, t, t + 1) for t in range(3)] + [(14, t, t + 1) for t in range(3)])
@@ -513,6 +514,6 @@ def test_units_bound_allocated_slots_for_any_n_list(monkeypatch):
     # one cell past the budget still gets a unit of one trial
     monkeypatch.setattr(experiments, "BATCH_ROWS", 10_000)
     pool.units.clear()
-    run_sweep(replace(spec, theta_deg_values=spec.theta_deg_values[:2]), workers=2)
+    run_sweep(replace(spec, theta_deg=spec.theta_deg[:2]), workers=2)
     assert [(len(configs), first, stop) for configs, first, stop in pool.units] == (
         [(2, 0, 3)] + [(1, t, t + 1) for _ in range(2) for t in range(3)])

@@ -96,7 +96,7 @@ def corpus_batches(count, seed):
                  for _ in range(rng.integers(1, 3))]
         degree = float(rng.uniform(1.0, 12.0))
         radius = min(side, side * math.sqrt(degree / (math.pi * max(50, *sizes))))
-        base = ScenarioConfig(square_side=side, sd_distance=0.0, radius=radius,
+        base = ScenarioConfig(square_side=side, d=0.0, radius=radius,
                               placement=placements[rng.integers(2)],
                               direction_error_deg=float(
                                   rng.choice([0.0, math.degrees(0.17), 45.83662361046586])))
@@ -111,7 +111,7 @@ def corpus_batches(count, seed):
             for view in (nodes, nodes[:len(nodes) // 2]):
                 d = float(rng.choice([0.0, side, rng.uniform(0.0, side)], p=[0.1, 0.1, 0.8]))
                 for theta_deg in thetas:
-                    cell = replace(cfg, theta_deg=theta_deg, sd_distance=d)
+                    cell = replace(cfg, theta_deg=theta_deg, d=d)
                     scenarios.append(Scenario(view, *endpoint_positions(cell), cell))
                     field_of.append(len(fields) - 1)
         yield scenarios, fields, field_of

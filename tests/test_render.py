@@ -12,7 +12,7 @@ from sectorcast.scenario import ScenarioConfig, generate
 
 def render_for(**kw):
     defaults = dict(square_side=2000.0, n_nodes=50, radius=200.0,
-                    theta_deg=60.0, sd_distance=800.0, seed=21)
+                    theta_deg=60.0, d=800.0, seed=21)
     defaults.update(kw)
     scenario = generate(ScenarioConfig(**defaults))
     return scenario, render_svg(scenario, propagate(scenario))
@@ -45,7 +45,7 @@ def test_chain_polygon_starts_at_source_pixel():
 def test_chain_polygon_is_mirror_symmetric_about_midline():
     # endpoints sit on the horizontal midline, so the leaf outline must be
     # symmetric in pixel y about the midline's pixel row
-    scenario, svg = render_for(n_nodes=0, sd_distance=900.0)
+    scenario, svg = render_for(n_nodes=0, d=900.0)
     poly = re.search(r'<polygon points="([^"]+)"', svg).group(1)
     ys = [float(p.split(",")[1]) for p in poly.split(" ")]
     mid = (40.0 + 840.0) / 2.0

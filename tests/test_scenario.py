@@ -22,7 +22,7 @@ from sectorcast.scenario import (
 
 def make_config(**kw):
     defaults = dict(square_side=4000.0, n_nodes=2000, radius=200.0,
-                    theta_deg=90.0, sd_distance=1000.0, seed=42)
+                    theta_deg=90.0, d=1000.0, seed=42)
     defaults.update(kw)
     return ScenarioConfig(**defaults)
 
@@ -34,24 +34,35 @@ def make_config(**kw):
     dict(radius=0.0),
     dict(theta_deg=0.0),
     dict(theta_deg=365.7295779513082),
-    dict(sd_distance=-1.0),
-    dict(sd_distance=4001.0),
+    dict(d=-1.0),
+    dict(d=4001.0),
     dict(seed=-1),
     dict(seed=2**64),
     dict(direction_error_deg=-5.729577951308232),
     dict(direction_error_deg=185.72957795130824),
     dict(n_nodes=MAX_NODES + 1),
-    dict(square_side=1e160, radius=2e159, sd_distance=5e159),  # squares overflow
-    dict(square_side=1e-200, radius=2e-201, sd_distance=5e-201),  # squares underflow
-    dict(square_side=1.0, radius=0.1, sd_distance=1e-17),  # endpoints round to one point
+    dict(square_side=1e160, radius=2e159, d=5e159),  # squares overflow
+    dict(square_side=1e-200, radius=2e-201, d=5e-201),  # squares underflow
+    dict(square_side=1.0, radius=0.1, d=1e-17),  # endpoints round to one point
+    dict(n_nodes=100.0),  # counts and seeds are integers, or generate fails
+    dict(n_nodes="100"),
+    dict(seed=1.5),
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError):
         make_config(**kw)
 
 
+def test_integer_fields_take_numpy_integers():
+    # stored as ints, so CSV rows and JSON records read as the CLI's
+    cfg = make_config(n_nodes=np.int64(50), seed=np.uint64(2**63))
+    assert (type(cfg.n_nodes), type(cfg.seed)) == (int, int)
+    assert (cfg.n_nodes, cfg.seed) == (50, 2**63)
+    assert len(generate(cfg).nodes) == 50
+
+
 def test_endpoint_placement_rule():
-    src, dst = endpoint_positions(make_config(square_side=4000.0, sd_distance=1000.0))
+    src, dst = endpoint_positions(make_config(square_side=4000.0, d=1000.0))
     assert (src.x, src.y) == (1500.0, 2000.0)
     assert (dst.x, dst.y) == (2500.0, 2000.0)
 
@@ -63,7 +74,7 @@ def test_generate_empty_field():
 
 
 def test_generate_endpoint_distance_exact():
-    s = generate(make_config(sd_distance=1234.0))
+    s = generate(make_config(d=1234.0))
     assert math.hypot(s.destination.x - s.source.x,
                       s.destination.y - s.source.y) == pytest.approx(1234.0, abs=1e-9)
 
