@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="config file (key = value text)")
         p.add_argument("--set", dest="overrides", metavar="KEY=VALUE", action="append",
                        default=[], help="override a config key (sweep keys: sweep.KEY)")
-        p.add_argument("--seed", type=int, help="override the base seed")
+        p.add_argument("--seed", help="override the base seed")
         p.add_argument("--out", metavar="PATH", help="output file path")
         if name in ("sweep", "compare"):
             p.add_argument("--workers", type=int, default=1,

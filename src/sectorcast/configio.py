@@ -5,12 +5,10 @@ section holding comma-separated value lists; '#' starts a comment.  CLI
 overrides use the same key names (sweep keys prefixed ``sweep.``) and
 unknown keys are rejected, never ignored.
 
-The keys are the dataclass fields: a base key is a ScenarioConfig field,
-parsed as its default's type, and a [sweep] key is a SweepSpec field after
-base, a list of the base key's values or the trial count.  _BASE and _SWEEP
-are read from the dataclasses in field order, which is the echo order, so
-parsing, overrides, record, echo and every validation message name a value
-by the key the user typed.
+The keys are the dataclass fields in field order (the echo order): a base
+key is a ScenarioConfig field, parsed by scenario.TYPES and KINDS, and a
+[sweep] key is a SweepSpec field after base, a list of the base key's values
+or the trial count, so every message names a value by the key as typed.
 
 CSV columns are fixed; floats are written with shortest-round-trip repr so
 parsed rows reproduce results bit-exactly, absent model fields are empty,
@@ -24,7 +22,7 @@ import os
 import tempfile
 from dataclasses import astuple, fields
 
-from .scenario import ConfigError, Placement, ScenarioConfig
+from .scenario import KINDS, TYPES, ConfigError, ScenarioConfig
 from .experiments import CellResult, SweepSpec
 
 CSV_COLUMNS = (
@@ -34,8 +32,6 @@ CSV_COLUMNS = (
     "model_ratio", "model_relative_error",
 )
 
-# base key -> value type, in echo order: the ScenarioConfig fields and their defaults' types
-_BASE = {f.name: type(f.default) for f in fields(ScenarioConfig)}
 # [sweep] keys, in echo order: the SweepSpec fields after base
 _SWEEP = tuple(f.name for f in fields(SweepSpec)[1:])
 
@@ -45,15 +41,14 @@ def _from_file(key: str, text: str, kind):
     try:
         return kind(text.lower())  # float and int syntax is case-blind too
     except ValueError as exc:
-        what = {Placement: "'fixed' or 'poisson'", int: "an integer"}.get(kind, "a number")
-        raise ConfigError(f"{key} must be {what}, got {text!r}") from exc
+        raise ConfigError(f"{key} must be {KINDS[kind][1]}, got {text!r}") from exc
 
 
 def parse_config_text(text: str, source: str = "<config>") -> tuple[dict, dict]:
     """Split config text into raw (base, sweep) key -> string dicts."""
     base: dict[str, str] = {}
     sweep: dict[str, str] = {}
-    into, table, what = base, _BASE, "key"
+    into, table, what = base, TYPES, "key"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -81,7 +76,7 @@ def apply_overrides(base: dict, sweep: dict, overrides: list[str]) -> None:
         key, value = (part.strip() for part in item.split("=", 1))
         in_sweep = key.startswith("sweep.")
         key = key.removeprefix("sweep.")
-        if key not in (_SWEEP if in_sweep else _BASE):
+        if key not in (_SWEEP if in_sweep else TYPES):
             raise ConfigError(f"unknown {'sweep ' if in_sweep else ''}override key {key!r}")
         (sweep if in_sweep else base)[key] = value
 
@@ -89,27 +84,24 @@ def apply_overrides(base: dict, sweep: dict, overrides: list[str]) -> None:
 def to_scenario_config(base: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from raw strings."""
     return ScenarioConfig(**{key: _from_file(key, base[key], kind)
-                             for key, kind in _BASE.items() if key in base})
+                             for key, kind in TYPES.items() if key in base})
 
 
 def to_sweep_spec(config: ScenarioConfig, sweep: dict) -> SweepSpec:
     """Build a SweepSpec around config; unset lists fall back to the defaults."""
     kwargs: dict = {"base": config}
     for key in _SWEEP:
-        if key not in _BASE and key in sweep:  # trials, one integer
+        if key not in TYPES and key in sweep:  # trials, one integer
             kwargs[key] = _from_file(key, sweep[key], int)
         elif key in sweep:
             items = [v.strip() for v in sweep[key].split(",") if v.strip()]
-            if not items:
-                raise ConfigError(f"field {key}: empty list")
-            kwargs[key] = tuple(_from_file(key, v, _BASE[key]) for v in items)
+            kwargs[key] = tuple(_from_file(key, v, TYPES[key]) for v in items)
     return SweepSpec(**kwargs)
 
 
 def config_record(config: ScenarioConfig) -> dict:
     """Effective base configuration under its config-file keys."""
-    record = {key: getattr(config, key) for key in _BASE}
-    return {**record, "placement": config.placement.value}
+    return {key: getattr(config, key) for key in TYPES} | {"placement": config.placement.value}
 
 
 def config_echo_lines(spec: SweepSpec) -> list[str]:
@@ -118,7 +110,7 @@ def config_echo_lines(spec: SweepSpec) -> list[str]:
     lines.append("# [sweep]")
     for key in _SWEEP:
         value = getattr(spec, key)
-        lines.append(f"# {key} = {', '.join(map(str, value)) if key in _BASE else value}")
+        lines.append(f"# {key} = {', '.join(map(str, value)) if key in TYPES else value}")
     return lines
 
 

@@ -21,15 +21,15 @@ from __future__ import annotations
 import math
 import os
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 # propagate stays importable here: trace tools wrap experiments.propagate
 from .engine import aim_errors, flood_fields, propagate  # noqa: F401
 from .leafmodel import build_leaf, predicted_ratio, relative_error
-from .scenario import (ConfigError, Placement, ScenarioConfig, derive_seed, endpoint_positions,
-                       generate)
+from .scenario import (TYPES, ConfigError, Placement, ScenarioConfig, as_kind, derive_seed,
+                       endpoint_positions, generate)
 
 DEFAULT_TRIALS = 500
 MAX_TRIALS = 100_000
@@ -67,12 +67,12 @@ class SweepSpec:
     trials: int = DEFAULT_TRIALS
 
     def __post_init__(self):
-        for name in ("theta_deg", "d"):  # integer values print as floats
-            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
-        if not 1 <= self.trials <= MAX_TRIALS:
+        for key in (f.name for f in fields(self) if f.name in TYPES):  # the value lists
+            if not (values := tuple(as_kind(key, TYPES[key], v) for v in getattr(self, key))):
+                raise ConfigError(f"sweep {key} must list at least one value")
+            object.__setattr__(self, key, values)
+        if not 1 <= as_kind("trials", int, self.trials) <= MAX_TRIALS:
             raise ConfigError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials}")
-        if not (self.theta_deg and self.n_nodes and self.d):
-            raise ConfigError("sweep value lists must be non-empty")
         cells = len(self.theta_deg) * len(self.n_nodes) * len(self.d)
         if cells > MAX_CELLS or cells * self.trials > MAX_CELL_TRIALS:
             raise ConfigError(f"a sweep of {cells} cells x {self.trials} trials passes MAX_CELLS "

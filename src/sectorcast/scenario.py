@@ -9,7 +9,7 @@ config yields bit-identical scenarios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -50,8 +50,8 @@ class ScenarioConfig:
 
     Angles are degrees, as entered; the theta and direction_error_bound
     properties give them in radians, the library's only unit conversion.
-    The field names are the config-file keys, and each default's type is its
-    key's parse type (configio reads both), so a renamed field renames a key.
+    The field names are the config-file keys; TYPES (key -> default's type)
+    and KINDS (type -> accepted values, error words) are their one schema.
     """
 
     square_side: float = DEFAULT_SQUARE_SIDE
@@ -72,12 +72,13 @@ class ScenarioConfig:
         return math.radians(self.direction_error_deg)
 
     def __post_init__(self):
+        for key, kind in TYPES.items():  # stored as its type: valid integer lengths are floats
+            object.__setattr__(self, key, as_kind(key, kind, getattr(self, key)))
         if not MIN_SQUARE_SIDE <= self.square_side <= MAX_SQUARE_SIDE:
             raise ConfigError(f"square_side must be in [{MIN_SQUARE_SIDE:g}, "
                               f"{MAX_SQUARE_SIDE:g}] m, got {self.square_side}")
-        if not (isinstance(self.n_nodes, (int, np.integer)) and 0 <= self.n_nodes <= MAX_NODES):
-            raise ConfigError(f"n_nodes must be in [0, {MAX_NODES}] and an integer, "
-                              f"got {self.n_nodes}")
+        if not 0 <= self.n_nodes <= MAX_NODES:
+            raise ConfigError(f"n_nodes must be in [0, {MAX_NODES}], got {self.n_nodes}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise ConfigError(f"radius must be positive, got {self.radius}")
         if not 0.0 < self.theta <= 2.0 * math.pi:
@@ -89,16 +90,23 @@ class ScenarioConfig:
         if self.d > 0.0 and source_x == dest_x:
             raise ConfigError(f"d {self.d} is too small for square_side "
                               f"{self.square_side}: both endpoints round to one point")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < _MAX_SEED):
+        if not 0 <= self.seed < _MAX_SEED:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not 0.0 <= self.direction_error_bound <= math.pi:
             raise ConfigError(
                 f"direction_error_deg must be in [0, 180], got {self.direction_error_deg}")
-        # valid integer lengths and degrees are stored, and print, as floats
-        for name in ("square_side", "radius", "theta_deg", "d", "direction_error_deg"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        for name in ("n_nodes", "seed"):  # numpy integers are stored as ints
-            object.__setattr__(self, name, int(getattr(self, name)))
+
+
+KINDS = {float: ((float, int, np.floating, np.integer), "a number"), int: ((int, np.integer),
+         "an integer"), Placement: ((Placement,), "a Placement ('fixed' or 'poisson' as text)")}
+TYPES = {f.name: type(f.default) for f in fields(ScenarioConfig)}  # key -> type, in key order
+
+
+def as_kind(key: str, kind: type, value):
+    """value as kind, or a ConfigError naming key when it is of another kind."""
+    if not isinstance(value, KINDS[kind][0]):
+        raise ConfigError(f"{key} must be {KINDS[kind][1]}, got {value!r}")
+    return kind(value)
 
 
 @dataclass(frozen=True)

@@ -227,7 +227,7 @@ def test_oversized_inputs_exit_2_before_any_allocation(tmp_path, monkeypatch, ca
         # (side - d) / 2 and (side + d) / 2 would be one double
         (["simulate", "--set", "square_side=1", "--set", "radius=0.1", "--set", "d=1e-17"],
          "both endpoints round to one point"),
-        (["sweep", "--set", "sweep.theta_deg=,"], "field theta_deg: empty list"),
+        (["sweep", "--set", "sweep.theta_deg=,"], "sweep theta_deg must list at least one value"),
     ):
         out = tmp_path / "out"
         assert run_cli(*argv, "--out", str(out)) == 2
@@ -322,6 +322,10 @@ def test_seed_flag_overrides_config(tmp_path, config_file, capsys):
     capsys.readouterr()
     assert run_cli("simulate", "--config", config_file, "--seed", "-1", "--out", str(a)) == 2
     assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+    # --seed is read as --set seed= is: a bad value is a config error, not a usage exit
+    for argv in (["--seed", "abc"], ["--set", "seed=abc"]):
+        assert run_cli("simulate", "--config", config_file, *argv, "--out", str(a)) == 2
+        assert "config error: seed must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_flags_do_not_leak_into_the_next_call(tmp_path, config_file):

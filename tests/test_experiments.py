@@ -171,6 +171,11 @@ def test_run_cell_rejects_bad_trials():
         run_cell(small_config(), trials=0)
     with pytest.raises(ConfigError, match="trials must be in"):
         run_cell(small_config(), trials=experiments.MAX_TRIALS + 1)
+    # a float count passed the range check and failed in run_sweep
+    with pytest.raises(ConfigError, match="trials must be an integer, got 3.0"):
+        run_cell(small_config(), trials=3.0)
+    with pytest.raises(ConfigError, match="trials must be an integer, got 2.5"):
+        SweepSpec(base=small_config(), trials=2.5)
 
 
 def test_run_sweep_single_cell_equals_run_cell():
@@ -212,8 +217,16 @@ def test_run_sweep_names_invalid_cell():
 
 @pytest.mark.parametrize("field", ["theta_deg", "n_nodes", "d"])
 def test_sweep_spec_rejects_an_empty_list(field):
-    with pytest.raises(ConfigError, match="sweep value lists must be non-empty"):
+    with pytest.raises(ConfigError, match=f"sweep {field} must list at least one value"):
         SweepSpec(base=small_config(), **{field: ()})
+
+
+def test_sweep_values_are_stored_as_their_keys_type():
+    spec = SweepSpec(base=small_config(), theta_deg=np.array([45.0, 90.0], np.float32),
+                     n_nodes=(np.int64(10),), d=(500,), trials=np.int64(2))
+    assert [type(v) for v in (*spec.theta_deg, *spec.n_nodes, *spec.d)] == [float, float, int, float]
+    with pytest.raises(ConfigError, match="n_nodes must be an integer, got 2.5"):
+        SweepSpec(base=small_config(), n_nodes=(10, 2.5))
 
 
 def test_sweep_default_grid_shape():

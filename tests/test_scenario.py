@@ -47,10 +47,32 @@ def make_config(**kw):
     dict(n_nodes=100.0),  # counts and seeds are integers, or generate fails
     dict(n_nodes="100"),
     dict(seed=1.5),
+    dict(placement="poisson"),  # only a Placement, or generate floods a fixed count
+    dict(square_side="4000"),
+    dict(theta_deg=None),
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError):
         make_config(**kw)
+
+
+@pytest.mark.parametrize("key, value, words", [
+    ("placement", "poisson", "a Placement ('fixed' or 'poisson' as text)"),
+    ("square_side", "4000", "a number"),
+    ("theta_deg", None, "a number"),
+    ("n_nodes", 100.0, "an integer"),
+])
+def test_a_value_of_the_wrong_kind_names_its_key(key, value, words):
+    with pytest.raises(ConfigError) as exc:
+        make_config(**{key: value})
+    assert str(exc.value) == f"{key} must be {words}, got {value!r}"
+
+
+def test_float_fields_take_numpy_floats():
+    # stored as floats, as the integer fields store numpy integers as ints
+    cfg = make_config(theta_deg=np.float32(45.0), d=np.float64(1000.0), radius=np.int64(200))
+    assert (type(cfg.theta_deg), type(cfg.d), type(cfg.radius)) == (float, float, float)
+    assert (cfg.theta_deg, cfg.d, cfg.radius) == (45.0, 1000.0, 200.0)
 
 
 def test_integer_fields_take_numpy_integers():
